@@ -1,6 +1,7 @@
 #include "ooo/core.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "prog/layout.hh"
@@ -48,7 +49,8 @@ OoOCore::OoOCore(const CoreParams &params, OracleStream &stream,
                  MemBackend &backend)
     : params_(params), stream_(stream), backend_(backend),
       backendMayStall_(backend.fetchesMayStall()),
-      icache_(params.icache), dcache_(params.dcache)
+      icache_(params.icache), dcache_(params.dcache),
+      ruu_(params.ruuEntries)
 {
     fatal_if(params_.ruuEntries == 0, "RUU must have entries");
     fatal_if(params_.lsqEntries == 0, "LSQ must have entries");
@@ -108,24 +110,23 @@ OoOCore::nextEventCycle(Cycle now) const
     // An empty window resolves within one tick: either fetch refills
     // it, or doCommit's empty-window probe discovers the end of a
     // truncated stream and flips done_.
-    if (window_.empty())
+    if (windowSize() == 0)
         return now + 1;
 
     // Commit: the head is complete but this cycle's commit width ran
     // out before reaching it.
-    if (window_.front().completed)
+    if (ruu_[headSlot_].completed)
         return now + 1;
 
-    // Issue: a ready uop that is not waiting on a store address or an
-    // MSHR entry can issue next cycle — FU pools and issue width are
-    // per-cycle budgets. Blocked loads unblock only through events
-    // that are themselves tracked: the blocking store issuing (it is
-    // ready, or becomes so via a completion), a commit freeing a DCUB
+    // Issue: a ready uop that is not waiting on an MSHR entry can
+    // issue next cycle — FU pools and issue width are per-cycle
+    // budgets. Blocked loads unblock only through events that are
+    // themselves tracked: the blocking store issuing (loads it blocks
+    // wait in memOrderWait_, not here), a commit freeing a DCUB
     // entry, or an external fill (which re-ticks the core anyway).
     for (InstSeq seq : readyList_) {
         const Uop &u = uop(seq);
-        if (!u.isLoad || (!loadBlockedByStore(u) && !mshrStalled(u) &&
-                          !backendStalled(u)))
+        if (!u.isLoad || (!mshrStalled(u) && !backendStalled(u)))
             return now + 1;
     }
 
@@ -139,7 +140,7 @@ OoOCore::nextEventCycle(Cycle now) const
     if (!fetchEnded_) {
         if (now < fetchStallUntil_) {
             next = std::min(next, fetchStallUntil_);
-        } else if (window_.size() < params_.ruuEntries) {
+        } else if (windowSize() < params_.ruuEntries) {
             if (!stream_.available(nextFetchSeq_))
                 return now + 1; // a tick must discover the stream end
             const func::DynInst &di = stream_.get(nextFetchSeq_);
@@ -181,13 +182,22 @@ OoOCore::complete(InstSeq seq, Cycle now)
              (unsigned long long)seq);
     u.completed = true;
     u.readyAt = now;
-    for (InstSeq consumer : u.consumers) {
-        Uop &c = uop(consumer);
+    for (Edge e = u.firstConsumer; e != 0;) {
+        Uop &c = uop(edgeSeq(e));
+        e = c.nextConsumer[edgeSlot(e)];
         panic_if(c.waitCount == 0, "consumer waitCount underflow");
         if (--c.waitCount == 0 && !c.issued)
-            insertReady(consumer);
+            makeReady(c);
     }
-    u.consumers.clear();
+    u.firstConsumer = 0;
+}
+
+void
+OoOCore::makeReady(const Uop &u)
+{
+    std::vector<InstSeq> &list =
+        u.isLoad && loadBlockedByStore(u) ? memOrderWait_ : readyList_;
+    list.insert(std::upper_bound(list.begin(), list.end(), u.seq), u.seq);
 }
 
 // -------------------------------------------------------------------
@@ -200,15 +210,15 @@ OoOCore::doCommit(Cycle now)
     // A truncated stream's end may only be discovered by the fetch
     // probe that runs *after* the final commit (tiny windows): catch
     // up here, or the core would never report done.
-    if (window_.empty() && stream_.ended() &&
+    if (windowSize() == 0 && stream_.ended() &&
         nextCommitSeq_ == stream_.endSeq()) {
         done_ = true;
         return;
     }
     for (unsigned n = 0; n < params_.commitWidth; ++n) {
-        if (window_.empty())
+        if (windowSize() == 0)
             return;
-        Uop &u = window_.front();
+        Uop &u = ruu_[headSlot_];
         if (!u.completed || u.readyAt > now)
             return;
 
@@ -237,8 +247,8 @@ OoOCore::doCommit(Cycle now)
             --lsqOccupancy_;
         }
 
-        window_.pop_front();
-        ++windowBase_;
+        if (++headSlot_ == ruu_.size())
+            headSlot_ = 0;
         ++nextCommitSeq_;
 
         if (stream_.ended() && nextCommitSeq_ == stream_.endSeq()) {
@@ -364,7 +374,7 @@ OoOCore::mshrStalled(const Uop &u) const
     // two nodes whose MSHRs are full of waits on each other's
     // broadcasts deadlock.
     return params_.maxOutstandingFills != 0 &&
-           u.seq != windowBase_ &&
+           u.seq != nextCommitSeq_ &&
            dcub_.size() >= params_.maxOutstandingFills &&
            !params_.perfectData &&
            dcub_.find(u.lineAddr) == dcub_.end() &&
@@ -378,7 +388,7 @@ OoOCore::backendStalled(const Uop &u) const
     // load that would start a new fetch waits until the backend can
     // accept one, and the oldest instruction bypasses the check so
     // forward progress survives a full bank.
-    return backendMayStall_ && u.seq != windowBase_ &&
+    return backendMayStall_ && u.seq != nextCommitSeq_ &&
            !params_.perfectData &&
            dcub_.find(u.lineAddr) == dcub_.end() &&
            !dcache_.probe(u.lineAddr) && !forwardingStore(u) &&
@@ -388,11 +398,11 @@ OoOCore::backendStalled(const Uop &u) const
 const OoOCore::Uop *
 OoOCore::forwardingStore(const Uop &u) const
 {
-    for (auto rit = windowStores_.rbegin(); rit != windowStores_.rend();
-         ++rit) {
-        if (*rit >= u.seq)
-            continue;
-        const Uop &st = uop(*rit);
+    // Walk back from the youngest store older than the load.
+    auto it = std::lower_bound(windowStores_.begin(),
+                               windowStores_.end(), u.seq);
+    while (it != windowStores_.begin()) {
+        const Uop &st = uop(*--it);
         if (!st.issued)
             continue; // address unknown; caller checked blocking
         bool overlap = st.effAddr < u.effAddr + u.memSize &&
@@ -417,7 +427,8 @@ OoOCore::doIssue(Cycle now)
     // One pass over the ready list in ascending seq (the order the
     // former std::set iterated in), compacting out the entries that
     // issue; blocked entries and everything past the issue-width
-    // budget stay, in order, without reallocating.
+    // budget stay, in order, without reallocating. Loads a store
+    // issue releases join the unvisited tail of this same pass.
     std::size_t out = 0;
     for (std::size_t in = 0; in < readyList_.size(); ++in) {
         InstSeq seq = readyList_[in];
@@ -427,12 +438,6 @@ OoOCore::doIssue(Cycle now)
         }
         Uop &u = uop(seq);
         panic_if(u.issued, "ready list holds issued uop");
-
-        if (u.isLoad && loadBlockedByStore(u)) {
-            ++stats_.memOrderStallEvents;
-            readyList_[out++] = seq;
-            continue;
-        }
 
         if (u.isLoad && mshrStalled(u)) {
             ++stats_.mshrStallEvents;
@@ -448,7 +453,6 @@ OoOCore::doIssue(Cycle now)
 
         unsigned pool = CoreParams::fuPool(u.cls);
         if (pool_left[pool] == 0) {
-            ++stats_.fuStallEvents;
             readyList_[out++] = seq;
             continue;
         }
@@ -462,8 +466,11 @@ OoOCore::doIssue(Cycle now)
                                 unknownAddrStores_.end(), u.seq);
             panic_if(st == unknownAddrStores_.end(),
                      "issuing store missing from address queue");
+            bool oldest = st == unknownAddrStores_.begin();
             unknownAddrStores_.erase(st);
             scheduleCompletion(u.seq, now + 1);
+            if (oldest)
+                releaseWaitingLoads(in);
         } else {
             scheduleCompletion(u.seq, now + params_.opLatency(u.cls));
         }
@@ -471,6 +478,30 @@ OoOCore::doIssue(Cycle now)
         tickProgressed_ = true;
     }
     readyList_.resize(out);
+}
+
+void
+OoOCore::releaseWaitingLoads(std::size_t pos)
+{
+    // Every waiting load is younger than the store just issued, so
+    // merging the released ones behind position @p pos keeps the
+    // pass in ascending seq: they issue exactly when a rescan of a
+    // ready list that had held them all along would issue them.
+    auto end = unknownAddrStores_.empty()
+                   ? memOrderWait_.end()
+                   : std::lower_bound(memOrderWait_.begin(),
+                                      memOrderWait_.end(),
+                                      unknownAddrStores_.front());
+    if (end == memOrderWait_.begin())
+        return;
+    auto tail = readyList_.begin() + pos + 1;
+    mergeScratch_.clear();
+    std::merge(tail, readyList_.end(), memOrderWait_.begin(), end,
+               std::back_inserter(mergeScratch_));
+    readyList_.erase(tail, readyList_.end());
+    readyList_.insert(readyList_.end(), mergeScratch_.begin(),
+                      mergeScratch_.end());
+    memOrderWait_.erase(memOrderWait_.begin(), end);
 }
 
 void
@@ -507,7 +538,6 @@ OoOCore::issueLoad(Uop &u, Cycle now)
         ++e.users;
         ++stats_.loadIssueHits;
         if (e.pending) {
-            u.waitingFill = true;
             e.waiters.push_back(u.seq);
         } else {
             scheduleCompletion(u.seq, std::max(mnow + 1, e.readyAt));
@@ -532,7 +562,6 @@ OoOCore::issueLoad(Uop &u, Cycle now)
     FillResult fill = backend_.startLineFetch(u.lineAddr, mnow);
     if (fill.readyAt == cycleMax) {
         entry.pending = true;
-        u.waitingFill = true;
         entry.waiters.push_back(u.seq);
     } else {
         entry.pending = false;
@@ -555,11 +584,8 @@ OoOCore::fillArrived(Addr line, Cycle ready_at, Cycle now)
              (unsigned long long)line);
     e.pending = false;
     e.readyAt = std::max(ready_at, now + 1);
-    for (InstSeq seq : e.waiters) {
-        Uop &u = uop(seq);
-        u.waitingFill = false;
+    for (InstSeq seq : e.waiters)
         scheduleCompletion(seq, e.readyAt);
-    }
     e.waiters.clear();
 }
 
@@ -581,7 +607,7 @@ OoOCore::doFetch(Cycle now)
         return;
 
     for (unsigned f = 0; f < params_.fetchWidth; ++f) {
-        if (window_.size() >= params_.ruuEntries)
+        if (windowSize() >= params_.ruuEntries)
             return;
         if (!stream_.available(nextFetchSeq_)) {
             fetchEnded_ = true;
@@ -611,10 +637,11 @@ OoOCore::doFetch(Cycle now)
             }
         }
 
-        // Dispatch into the RUU.
-        Uop u;
-        u.seq = di.seq;
-        u.inst = di.inst;
+        // Dispatch into the RUU's free slot past the youngest uop.
+        InstSeq seq = di.seq;
+        Uop &u = ruu_[slotOf(seq)];
+        u = Uop{};
+        u.seq = seq;
         u.cls = di.inst.info().opClass;
         u.isLoad = di.inst.isLoad();
         u.isStore = di.inst.isStore();
@@ -628,29 +655,27 @@ OoOCore::doFetch(Cycle now)
         int nsrc = di.inst.srcRegs(srcs);
         for (int i = 0; i < nsrc; ++i) {
             InstSeq lw = lastWriter_[srcs[i]];
-            if (lw != 0 && lw - 1 >= windowBase_) {
+            if (lw != 0 && lw - 1 >= nextCommitSeq_) {
                 Uop &producer = uop(lw - 1);
                 if (!producer.completed) {
-                    producer.consumers.push_back(u.seq);
+                    u.nextConsumer[i] = producer.firstConsumer;
+                    producer.firstConsumer = makeEdge(seq, i);
                     ++u.waitCount;
                 }
             }
         }
 
-        bool ready = (u.waitCount == 0);
-        InstSeq seq = u.seq;
         int dest = di.inst.destReg();
-        window_.push_back(std::move(u));
         if (dest >= 0)
             lastWriter_[dest] = seq + 1;
-        if (window_.back().isStore) {
+        if (u.isStore) {
             windowStores_.push_back(seq);
             unknownAddrStores_.push_back(seq);
         }
-        if (window_.back().isLoad || window_.back().isStore)
+        if (u.isLoad || u.isStore)
             ++lsqOccupancy_;
-        if (ready)
-            readyList_.push_back(seq); // seq is the window maximum
+        if (u.waitCount == 0)
+            makeReady(u);
 
         ++nextFetchSeq_;
         tickProgressed_ = true;

@@ -19,7 +19,6 @@
 #ifndef DSCALAR_OOO_CORE_HH
 #define DSCALAR_OOO_CORE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -108,8 +107,6 @@ struct CoreStats
     std::uint64_t icacheMisses = 0;
     std::uint64_t dtlbMisses = 0;
     std::uint64_t itlbMisses = 0;
-    std::uint64_t memOrderStallEvents = 0;
-    std::uint64_t fuStallEvents = 0;
     std::uint64_t mshrStallEvents = 0;
     std::uint64_t backendStallEvents = 0; ///< backend flow control
     std::uint64_t maxDcubOccupancy = 0;
@@ -173,34 +170,49 @@ class OoOCore
     }
 
     /** Number of in-flight instructions (RUU occupancy). */
-    std::size_t windowSize() const { return window_.size(); }
+    std::size_t windowSize() const { return nextFetchSeq_ - nextCommitSeq_; }
 
     /** In-flight DCUB lines (pending or unreleased fills); feeds the
      *  obs::Sampler dcub_depth timeline. */
     std::size_t dcubOccupancy() const { return dcub_.size(); }
 
   private:
-    /** An in-flight instruction (one RUU entry). */
+    /**
+     * A dependence edge: (consumer seq, source operand slot) packed as
+     * (seq << 1 | slot) + 1, so 0 means "no edge". A producer's
+     * consumers form an intrusive singly linked list whose links live
+     * in the consumers, one per source operand.
+     */
+    using Edge = InstSeq;
+    static Edge
+    makeEdge(InstSeq seq, unsigned slot)
+    {
+        return (seq << 1 | slot) + 1;
+    }
+    static InstSeq edgeSeq(Edge e) { return (e - 1) >> 1; }
+    static unsigned edgeSlot(Edge e) { return (e - 1) & 1; }
+
+    /** An in-flight instruction (one RUU entry); fields are grouped
+     *  by size so the slot packs tightly. */
     struct Uop
     {
         InstSeq seq = 0;
-        isa::Instruction inst;
-        isa::OpClass cls = isa::OpClass::Misc;
         Addr effAddr = invalidAddr;
-        unsigned memSize = 0;
         Addr lineAddr = invalidAddr;
+        Cycle readyAt = cycleMax;
+        Edge firstConsumer = 0;       ///< head of this uop's consumers
+        /** Per source operand: the next edge in its producer's list. */
+        Edge nextConsumer[2] = {0, 0};
+        unsigned memSize = 0;
+        unsigned waitCount = 0;       ///< outstanding register producers
+
+        isa::OpClass cls = isa::OpClass::Misc;
         bool isLoad = false;
         bool isStore = false;
-
-        unsigned waitCount = 0;       ///< outstanding register producers
-        std::vector<InstSeq> consumers;
         bool issued = false;
         bool completed = false;
-        Cycle readyAt = cycleMax;
-
         bool issueHit = false;        ///< load issue-time outcome
         bool usesDcub = false;        ///< holds a DCUB user reference
-        bool waitingFill = false;     ///< blocked on a deferred fill
     };
 
     /** One in-flight line in the Data Commit Update Buffer. */
@@ -213,12 +225,20 @@ class OoOCore
         std::vector<InstSeq> waiters; ///< loads blocked on the fill
     };
 
+    /** RUU slot of @p seq: the ring holds seqs nextCommitSeq_ ..
+     *  nextFetchSeq_ - 1 starting at headSlot_. */
+    std::size_t
+    slotOf(InstSeq seq) const
+    {
+        std::size_t i = headSlot_ + (seq - nextCommitSeq_);
+        return i >= ruu_.size() ? i - ruu_.size() : i;
+    }
     Uop &
     uop(InstSeq seq)
     {
         panic_if(!inWindow(seq), "uop %llu not in window",
                  (unsigned long long)seq);
-        return window_[seq - windowBase_];
+        return ruu_[slotOf(seq)];
     }
     const Uop &
     uop(InstSeq seq) const
@@ -228,8 +248,7 @@ class OoOCore
     bool
     inWindow(InstSeq seq) const
     {
-        return seq >= windowBase_ &&
-               seq < windowBase_ + window_.size();
+        return seq >= nextCommitSeq_ && seq < nextFetchSeq_;
     }
 
     void processCompletions(Cycle now);
@@ -243,8 +262,15 @@ class OoOCore
     void commitLoad(Uop &u, Cycle now);
     void commitStore(Uop &u, Cycle now);
     void releaseDcubUser(Addr line);
+    /** Queue a uop whose operands are ready: on readyList_, or on
+     *  memOrderWait_ when it is a load an older store blocks. */
+    void makeReady(const Uop &u);
+    /** The oldest unknown-address store just issued at readyList_
+     *  position @p pos: merge the waiting loads it no longer blocks
+     *  into the unvisited part of the current issue pass. */
+    void releaseWaitingLoads(std::size_t pos);
 
-    /** @return blocking store seq, or -1 when the load may proceed. */
+    /** True while an older store's address is still unknown. */
     bool loadBlockedByStore(const Uop &u) const;
     /** Load would start a new fill but all MSHR entries are taken. */
     bool mshrStalled(const Uop &u) const;
@@ -273,32 +299,32 @@ class OoOCore
     std::unique_ptr<mem::Cache> dtlb_;
     std::unique_ptr<mem::Cache> itlb_;
 
-    std::deque<Uop> window_;
-    InstSeq windowBase_ = 0;     ///< seq of window_.front()
+    /** The RUU: a ring of ruuEntries slots (see slotOf). */
+    std::vector<Uop> ruu_;
+    std::size_t headSlot_ = 0;   ///< slot of nextCommitSeq_
     InstSeq nextFetchSeq_ = 0;
-    InstSeq nextCommitSeq_ = 0;
+    InstSeq nextCommitSeq_ = 0;  ///< also the oldest in-flight seq
     std::size_t lsqOccupancy_ = 0;
     bool fetchEnded_ = false;
     bool done_ = false;
 
     InstSeq lastWriter_[32];     ///< seq + 1, 0 = none
-    /** Ready (waitCount == 0, not yet issued) uops in ascending seq.
+    /** Issuable uops in ascending seq: operands ready, not yet
+     *  issued, and (for loads) not behind an unknown-address store.
      *  A sorted vector instead of a std::set: iteration order is
-     *  identical, but insertion is a cheap memmove (usually a
-     *  push_back, since dispatch makes the youngest uop ready) and
-     *  the capacity is reused — the per-uop rb-tree node churn
-     *  dominated the tick profile. */
+     *  identical, but insertion is a cheap memmove (usually at the
+     *  back, since dispatch makes the youngest uop ready) and the
+     *  capacity is reused. */
     std::vector<InstSeq> readyList_;
-    void
-    insertReady(InstSeq seq)
-    {
-        readyList_.insert(std::upper_bound(readyList_.begin(),
-                                           readyList_.end(), seq),
-                          seq);
-    }
+    /** Operand-ready loads younger than the oldest unknown-address
+     *  store, ascending seq. That store's issue releases a prefix. */
+    std::vector<InstSeq> memOrderWait_;
+    /** Scratch for releaseWaitingLoads' merge (capacity reused). */
+    std::vector<InstSeq> mergeScratch_;
     /** In-window stores not yet issued (address unknown), ascending
      *  seq; vector because inserts are always at the back. */
     std::vector<InstSeq> unknownAddrStores_;
+    /** In-window stores, ascending seq. */
     std::deque<InstSeq> windowStores_;
     /** Scheduled completions as a min-heap on (cycle, FIFO order) —
      *  pops in exactly the order the former map-of-vectors yielded. */

@@ -386,6 +386,113 @@ TEST(OoOCore, FpLatenciesSlowDependentChain)
     EXPECT_GT(r.cycles, 200u * (params.fpMulLat - 1));
 }
 
+TEST(OoOCore, LoadsBehindStoreIssueInStoresCycle)
+{
+    // The store's data waits on an IntDiv chain, so its address stays
+    // unknown long after the loads behind it are ready. They must
+    // issue (and forward) in the very cycle the store issues: the
+    // issue pass that issues the store goes on to issue them.
+    Program p;
+    Addr g = p.allocGlobal(64);
+    Assembler a(p);
+    a.la(s1, g);
+    a.li(t1, 1);
+    a.li(t0, 7);
+    for (int i = 0; i < 4; ++i)
+        a.div(t0, t0, t1);
+    a.sw(t0, s1, 0);
+    a.lw(t2, s1, 0);
+    a.lw(t3, s1, 0);
+    a.lw(t4, s1, 0);
+    a.add(t5, t2, t3);
+    a.add(t5, t5, t4);
+    a.halt();
+    a.finalize();
+
+    CoreRun r = runCore(p, CoreParams{});
+    EXPECT_EQ(r.cycles, 75u);
+    EXPECT_EQ(r.stats.forwardedLoads, 3u);
+    EXPECT_EQ(r.stats.loadIssueMisses, 0u);
+    EXPECT_EQ(r.stats.committed, 14u);
+}
+
+TEST(OoOCore, OlderStoreReleasesOnlyLoadsBeforeYoungerStore)
+{
+    // Two stores with unknown addresses: the older one's data is four
+    // divides away, the younger one's six, so every load below is
+    // fetched and ready before either store issues. Issuing the older
+    // store must release the loads between the two (they forward from
+    // it and feed a long divide chain, so releasing them late shows
+    // in the cycle count) but not the loads behind the younger store
+    // (released early they would miss instead of forwarding).
+    Program p;
+    Addr g = p.allocGlobal(128);
+    Assembler a(p);
+    a.la(s1, g);
+    a.li(t1, 1);
+    a.li(t0, 7);
+    a.li(s2, 9);
+    for (int i = 0; i < 4; ++i)
+        a.div(t0, t0, t1);
+    for (int i = 0; i < 6; ++i)
+        a.div(s2, s2, t1);
+    a.sw(t0, s1, 0);
+    a.lw(t2, s1, 0);
+    a.lw(t3, s1, 0);
+    for (int i = 0; i < 4; ++i)
+        a.div(t2, t2, t1);
+    a.sw(s2, s1, 64);
+    a.lw(t4, s1, 64);
+    a.lw(t5, s1, 64);
+    a.halt();
+    a.finalize();
+
+    CoreRun r = runCore(p, CoreParams{});
+    EXPECT_EQ(r.cycles, 121u);
+    EXPECT_EQ(r.stats.forwardedLoads, 4u);
+    EXPECT_EQ(r.stats.loadIssueMisses, 0u);
+    EXPECT_EQ(r.backendFetches, 0u);
+}
+
+TEST(OoOCore, NonPowerOfTwoRuuWrapsAround)
+{
+    // A 37-entry RUU wraps its ring dozens of times over a loop of
+    // loads, stores, divides and dependent adds.
+    Program p;
+    Addr g = p.allocGlobal(8192);
+    Assembler a(p);
+    a.la(s1, g);
+    a.li(t1, 3);
+    a.li(s0, 128);
+    a.label("loop");
+    a.lw(t0, s1, 0);
+    a.div(t2, t0, t1);
+    a.sw(t2, s1, 4);
+    a.lw(t3, s1, 4);
+    a.add(t4, t3, t0);
+    a.sw(t4, s1, 128);
+    a.lw(t5, s1, 256);
+    a.addi(s1, s1, 32);
+    a.addi(s0, s0, -1);
+    a.bne(s0, zero, "loop");
+    a.halt();
+    a.finalize();
+
+    CoreParams params;
+    params.ruuEntries = 37;
+    params.lsqEntries = 19;
+    CoreRun r = runCore(p, params);
+    EXPECT_EQ(r.stats.committed, 1284u);
+    EXPECT_EQ(r.cycles, 2029u);
+    EXPECT_EQ(r.stats.forwardedLoads, 128u);
+    EXPECT_EQ(r.stats.loadIssueMisses, 136u);
+    EXPECT_EQ(r.stats.loadIssueHits, 248u);
+    EXPECT_EQ(r.stats.canonicalLoadMisses, 136u);
+    EXPECT_EQ(r.stats.falseHits, 0u);
+    EXPECT_EQ(r.stats.falseMisses, 0u);
+    EXPECT_EQ(r.stats.storeCommitMisses, 4u);
+}
+
 } // namespace
 } // namespace ooo
 } // namespace dscalar
