@@ -1,10 +1,6 @@
 #include "baseline/perfect.hh"
 
-#include <algorithm>
-
-#include "baseline/stats_util.hh"
 #include "common/logging.hh"
-#include "core/parallel_tick.hh"
 
 namespace dscalar {
 namespace baseline {
@@ -12,17 +8,14 @@ namespace baseline {
 PerfectSystem::PerfectSystem(
     const prog::Program &program, const core::SimConfig &config,
     std::shared_ptr<const func::InstTrace> trace)
-    : config_(config), oracle_(ooo::makeOracle(program, trace)),
-      replayOutput_(trace ? trace->outputPrefix(config.maxInsts)
-                          : std::string()),
-      stream_(ooo::makeStream(oracle_.get(), std::move(trace),
-                              config.maxInsts)),
-      localMem_(config.mem),
-      core_([&config] {
-          ooo::CoreParams p = config.core;
-          p.perfectData = true;
-          return p;
-      }(), stream_, *this)
+    : SingleCoreSystem(program, config, std::move(trace),
+                       [&config] {
+                           ooo::CoreParams p = config.core;
+                           p.perfectData = true;
+                           return p;
+                       }(),
+                       "---- PerfectSystem ----"),
+      localMem_(config.mem)
 {
 }
 
@@ -56,126 +49,6 @@ Cycle
 PerfectSystem::fetchInstLine(Addr line, Cycle now)
 {
     return localMem_.request(line, now);
-}
-
-core::RunResult
-PerfectSystem::run()
-{
-    panic_if(ran_, "PerfectSystem::run called twice");
-    ran_ = true;
-    // Single core: tickThreads resolves to the serial loop (see
-    // TraditionalSystem::run).
-    core::resolveTickThreads(config_.tickThreads, 1);
-
-    unsigned ph_tick = 0;
-    if (prof_) {
-        ph_tick = prof_->addPhase("tick");
-        profStartNs_ = prof_->elapsedNs();
-        prof_->lapStart();
-    }
-
-    Cycle now = 0;
-    Cycle last_progress = 0;
-    InstSeq last_commit = 0;
-    while (!core_.done()) {
-        core_.tick(now);
-        if (core_.committedSeq() > last_commit) {
-            last_commit = core_.committedSeq();
-            last_progress = now;
-            stream_.trim(last_commit);
-        } else if (now - last_progress > config_.watchdogCycles) {
-            panic("perfect system: no commit progress for %llu cycles",
-                  (unsigned long long)config_.watchdogCycles);
-        }
-        ++now;
-        if (config_.eventDriven && !core_.done()) {
-            // Skip cycles where the core cannot act; a hung core
-            // still reaches the watchdog cycle and panics there.
-            Cycle deadline =
-                last_progress + config_.watchdogCycles + 1;
-            now = std::max(
-                now,
-                std::min(core_.nextEventCycle(now - 1), deadline));
-        }
-        // Cycles through now-1 are final (skipped ones are no-ops).
-        if (sampler_)
-            sampler_->advance(now - 1);
-    }
-    if (prof_) {
-        prof_->lap(ph_tick);
-        profEndNs_ = prof_->elapsedNs();
-    }
-
-    core::RunResult result;
-    result.cycles = now;
-    result.instructions = stream_.endSeq();
-    result.ipc = static_cast<double>(result.instructions) /
-                 static_cast<double>(result.cycles);
-    lastResult_ = result;
-    result.stats = snapshotStats();
-    lastResult_.stats = result.stats;
-    return result;
-}
-
-void
-PerfectSystem::setTraceSink(TraceSink *sink)
-{
-    tee_.clear();
-    if (sink)
-        tee_.add(sink);
-    applyTraceSinks();
-}
-
-void
-PerfectSystem::addTraceSink(TraceSink *sink)
-{
-    if (sink)
-        tee_.add(sink);
-    applyTraceSinks();
-}
-
-void
-PerfectSystem::applyTraceSinks()
-{
-    core_.setTraceSink(tee_.empty() ? nullptr : &tee_, 0);
-}
-
-void
-PerfectSystem::setSampler(obs::Sampler *sampler)
-{
-    sampler_ = sampler;
-    if (!sampler)
-        return;
-    sampler->addColumn("commit_rate", obs::Sampler::Mode::Delta,
-                       [this] {
-                           return static_cast<std::uint64_t>(
-                               core_.committedSeq());
-                       });
-    sampler->addColumn("dcub_depth", obs::Sampler::Mode::Level,
-                       [this] {
-                           return static_cast<std::uint64_t>(
-                               core_.dcubOccupancy());
-                       });
-}
-
-std::shared_ptr<const stats::Snapshot>
-PerfectSystem::snapshotStats() const
-{
-    auto snap = std::make_shared<stats::Snapshot>();
-    stats::Snapshot::GroupEntry &sys =
-        snap->addGroup("system", "---- PerfectSystem ----");
-    buildRunStats(*snap, sys, lastResult_);
-    buildCoreStats(*snap, core_.coreStats());
-    if (prof_)
-        obs::addProfileGroup(*snap, *prof_,
-                             profEndNs_ - profStartNs_);
-    return snap;
-}
-
-void
-PerfectSystem::dumpStats(std::ostream &os) const
-{
-    snapshotStats()->dump(os);
 }
 
 } // namespace baseline

@@ -10,28 +10,15 @@
 #define DSCALAR_BASELINE_PERFECT_HH
 
 #include <memory>
-#include <ostream>
-#include <string>
 
-#include "common/logging.hh"
-#include "common/trace.hh"
-#include "core/sim_config.hh"
-#include "obs/sampler.hh"
-#include "obs/span.hh"
-#include "stats/snapshot.hh"
-#include "func/func_sim.hh"
-#include "func/inst_trace.hh"
+#include "baseline/single_core.hh"
 #include "mem/main_memory.hh"
-#include "ooo/core.hh"
-#include "ooo/mem_backend.hh"
-#include "ooo/oracle_stream.hh"
-#include "prog/program.hh"
 
 namespace dscalar {
 namespace baseline {
 
 /** Single-processor system with a perfect data cache. */
-class PerfectSystem : private ooo::MemBackend
+class PerfectSystem : public SingleCoreSystem
 {
   public:
     /** A non-null @p trace replays a captured stream instead of
@@ -41,44 +28,6 @@ class PerfectSystem : private ooo::MemBackend
                   std::shared_ptr<const func::InstTrace> trace =
                       nullptr);
 
-    core::RunResult run();
-
-    const ooo::OoOCore &core() const { return core_; }
-    /** The live functional oracle; only valid when not replaying. */
-    const func::FuncSim &
-    oracle() const
-    {
-        panic_if(!oracle_, "trace-replay run has no live oracle");
-        return *oracle_;
-    }
-    /** Program output of the executed prefix, either backend. */
-    const std::string &
-    output() const
-    {
-        return oracle_ ? oracle_->output() : replayOutput_;
-    }
-
-    /** Emit core disparity events to exactly @p sink, replacing any
-     *  earlier sinks; use addTraceSink to fan out instead. */
-    void setTraceSink(TraceSink *sink);
-    /** Attach @p sink in addition to any already attached. */
-    void addTraceSink(TraceSink *sink);
-
-    /** Register timeline columns (commit rate, DCUB depth) with
-     *  @p sampler and advance it from the run loop; nullptr
-     *  detaches. Sampling never perturbs the simulation. */
-    void setSampler(obs::Sampler *sampler);
-
-    /** Attach a wall-clock phase profiler (see
-     *  core::DataScalarSystem::setProfiler); the single-core loop
-     *  reports one coarse "tick" phase. Never perturbs results. */
-    void setProfiler(obs::SpanRecorder *prof) { prof_ = prof; }
-
-    /** Write a gem5-style stats dump (rendered from the snapshot). */
-    void dumpStats(std::ostream &os) const;
-    /** Build the stat snapshot (groups "system" and "core"). */
-    std::shared_ptr<const stats::Snapshot> snapshotStats() const;
-
   private:
     ooo::FillResult startLineFetch(Addr line, Cycle now) override;
     void onUnclaimedCanonicalMiss(Addr line, Cycle now) override;
@@ -86,21 +35,7 @@ class PerfectSystem : private ooo::MemBackend
     void storeMiss(Addr line, Cycle now) override;
     Cycle fetchInstLine(Addr line, Cycle now) override;
 
-    core::SimConfig config_;
-    std::unique_ptr<func::FuncSim> oracle_; ///< null when replaying
-    std::string replayOutput_;
-    ooo::OracleStream stream_;
     mem::MainMemory localMem_;
-    ooo::OoOCore core_;
-    bool ran_ = false;
-    core::RunResult lastResult_;
-    TeeTraceSink tee_;
-    obs::Sampler *sampler_ = nullptr;
-    obs::SpanRecorder *prof_ = nullptr;
-    std::uint64_t profStartNs_ = 0;
-    std::uint64_t profEndNs_ = 0;
-
-    void applyTraceSinks();
 };
 
 } // namespace baseline

@@ -1,11 +1,5 @@
 #include "baseline/traditional.hh"
 
-#include <algorithm>
-
-#include "baseline/stats_util.hh"
-#include "common/logging.hh"
-#include "core/parallel_tick.hh"
-
 namespace dscalar {
 namespace baseline {
 
@@ -15,14 +9,10 @@ TraditionalSystem::TraditionalSystem(
     const prog::Program &program, const core::SimConfig &config,
     mem::PageTable ptable,
     std::shared_ptr<const func::InstTrace> trace)
-    : config_(config), oracle_(ooo::makeOracle(program, trace)),
-      replayOutput_(trace ? trace->outputPrefix(config.maxInsts)
-                          : std::string()),
-      stream_(ooo::makeStream(oracle_.get(), std::move(trace),
-                              config.maxInsts)),
-      ptable_(std::move(ptable)),
-      bus_(config.bus), onChipMem_(config.mem), offChipMem_(config.mem),
-      core_(config.core, stream_, *this)
+    : SingleCoreSystem(program, config, std::move(trace), config.core,
+                       "---- TraditionalSystem ----"),
+      ptable_(std::move(ptable)), bus_(config.bus),
+      onChipMem_(config.mem), offChipMem_(config.mem)
 {
 }
 
@@ -95,145 +85,34 @@ TraditionalSystem::fetchInstLine(Addr line, Cycle now)
     return offChipLineRead(line, now);
 }
 
-core::RunResult
-TraditionalSystem::run()
+void
+TraditionalSystem::addSamplerColumns(obs::Sampler &sampler)
 {
-    panic_if(ran_, "TraditionalSystem::run called twice");
-    ran_ = true;
-    // The traditional baseline is a single core: parallel node
-    // ticking has exactly one node to tick, so any tickThreads
-    // request resolves to the serial loop. Resolved here (rather
-    // than ignored) so --tick-threads validation behaves uniformly
-    // across systems.
-    core::resolveTickThreads(config_.tickThreads, 1);
-
-    unsigned ph_tick = 0;
-    if (prof_) {
-        ph_tick = prof_->addPhase("tick");
-        profStartNs_ = prof_->elapsedNs();
-        prof_->lapStart();
-    }
-
-    Cycle now = 0;
-    Cycle last_progress = 0;
-    InstSeq last_commit = 0;
-    while (!core_.done()) {
-        core_.tick(now);
-        if (core_.committedSeq() > last_commit) {
-            last_commit = core_.committedSeq();
-            last_progress = now;
-            stream_.trim(last_commit);
-        } else if (now - last_progress > config_.watchdogCycles) {
-            panic("traditional system: no commit progress for %llu "
-                  "cycles", (unsigned long long)config_.watchdogCycles);
-        }
-        ++now;
-        if (config_.eventDriven && !core_.done()) {
-            // Skip cycles where the core cannot act; a hung core
-            // still reaches the watchdog cycle and panics there.
-            Cycle deadline =
-                last_progress + config_.watchdogCycles + 1;
-            now = std::max(
-                now,
-                std::min(core_.nextEventCycle(now - 1), deadline));
-        }
-        // Cycles through now-1 are final (skipped ones are no-ops).
-        if (sampler_)
-            sampler_->advance(now - 1);
-    }
-    if (prof_) {
-        prof_->lap(ph_tick);
-        profEndNs_ = prof_->elapsedNs();
-    }
-
-    core::RunResult result;
-    result.cycles = now;
-    result.instructions = stream_.endSeq();
-    result.ipc = static_cast<double>(result.instructions) /
-                 static_cast<double>(result.cycles);
-    lastResult_ = result;
-    result.stats = snapshotStats();
-    lastResult_.stats = result.stats;
-    return result;
+    SingleCoreSystem::addSamplerColumns(sampler);
+    sampler.addColumn("bus_messages", obs::Sampler::Mode::Delta,
+                      [this] { return bus_.totalMessages(); });
+    sampler.addColumn("bus_busy_cycles", obs::Sampler::Mode::Delta,
+                      [this] { return bus_.busyCycles(); });
+    sampler.addColumn("offchip_reads", obs::Sampler::Mode::Delta,
+                      [this] { return offChipReads_; });
+    sampler.addColumn("offchip_writes", obs::Sampler::Mode::Delta,
+                      [this] { return offChipWrites_; });
 }
 
 void
-TraditionalSystem::setTraceSink(TraceSink *sink)
+TraditionalSystem::addSystemStats(stats::Snapshot &snap,
+                                  stats::Snapshot::GroupEntry &sys) const
 {
-    tee_.clear();
-    if (sink)
-        tee_.add(sink);
-    applyTraceSinks();
-}
-
-void
-TraditionalSystem::addTraceSink(TraceSink *sink)
-{
-    if (sink)
-        tee_.add(sink);
-    applyTraceSinks();
-}
-
-void
-TraditionalSystem::applyTraceSinks()
-{
-    core_.setTraceSink(tee_.empty() ? nullptr : &tee_, 0);
-}
-
-void
-TraditionalSystem::setSampler(obs::Sampler *sampler)
-{
-    sampler_ = sampler;
-    if (!sampler)
-        return;
-    sampler->addColumn("commit_rate", obs::Sampler::Mode::Delta,
-                       [this] {
-                           return static_cast<std::uint64_t>(
-                               core_.committedSeq());
-                       });
-    sampler->addColumn("dcub_depth", obs::Sampler::Mode::Level,
-                       [this] {
-                           return static_cast<std::uint64_t>(
-                               core_.dcubOccupancy());
-                       });
-    sampler->addColumn("bus_messages", obs::Sampler::Mode::Delta,
-                       [this] { return bus_.totalMessages(); });
-    sampler->addColumn("bus_busy_cycles", obs::Sampler::Mode::Delta,
-                       [this] { return bus_.busyCycles(); });
-    sampler->addColumn("offchip_reads", obs::Sampler::Mode::Delta,
-                       [this] { return offChipReads_; });
-    sampler->addColumn("offchip_writes", obs::Sampler::Mode::Delta,
-                       [this] { return offChipWrites_; });
-}
-
-std::shared_ptr<const stats::Snapshot>
-TraditionalSystem::snapshotStats() const
-{
-    auto snap = std::make_shared<stats::Snapshot>();
-    stats::Snapshot::GroupEntry &sys =
-        snap->addGroup("system", "---- TraditionalSystem ----");
-    buildRunStats(*snap, sys, lastResult_);
-    snap->addCounter(sys, "bus_messages", bus_.totalMessages(),
-                     "global-bus transactions");
-    snap->addCounter(sys, "bus_bytes", bus_.totalBytes(),
-                     "global-bus payload+header bytes");
-    snap->addCounter(sys, "bus_busy_cycles", bus_.busyCycles(),
-                     "cycles the bus was occupied");
-    snap->addCounter(sys, "offchip_reads", offChipReads_,
-                     "off-chip line reads");
-    snap->addCounter(sys, "offchip_writes", offChipWrites_,
-                     "off-chip writes and write-backs");
-    buildCoreStats(*snap, core_.coreStats());
-    if (prof_)
-        obs::addProfileGroup(*snap, *prof_,
-                             profEndNs_ - profStartNs_);
-    return snap;
-}
-
-void
-TraditionalSystem::dumpStats(std::ostream &os) const
-{
-    snapshotStats()->dump(os);
+    snap.addCounter(sys, "bus_messages", bus_.totalMessages(),
+                    "global-bus transactions");
+    snap.addCounter(sys, "bus_bytes", bus_.totalBytes(),
+                    "global-bus payload+header bytes");
+    snap.addCounter(sys, "bus_busy_cycles", bus_.busyCycles(),
+                    "cycles the bus was occupied");
+    snap.addCounter(sys, "offchip_reads", offChipReads_,
+                    "off-chip line reads");
+    snap.addCounter(sys, "offchip_writes", offChipWrites_,
+                    "off-chip writes and write-backs");
 }
 
 } // namespace baseline

@@ -10,25 +10,13 @@
 #ifndef DSCALAR_BASELINE_TRADITIONAL_HH
 #define DSCALAR_BASELINE_TRADITIONAL_HH
 
+#include <cstdint>
 #include <memory>
-#include <ostream>
-#include <string>
 
-#include "common/logging.hh"
-#include "common/trace.hh"
-#include "core/sim_config.hh"
-#include "obs/sampler.hh"
-#include "obs/span.hh"
-#include "stats/snapshot.hh"
-#include "func/func_sim.hh"
-#include "func/inst_trace.hh"
+#include "baseline/single_core.hh"
 #include "interconnect/bus.hh"
 #include "mem/main_memory.hh"
 #include "mem/page_table.hh"
-#include "ooo/core.hh"
-#include "ooo/mem_backend.hh"
-#include "ooo/oracle_stream.hh"
-#include "prog/program.hh"
 
 namespace dscalar {
 namespace baseline {
@@ -40,7 +28,7 @@ namespace baseline {
  * matching "the same amount of on-chip memory as does one chip in
  * each DataScalar experiment".
  */
-class TraditionalSystem : private ooo::MemBackend
+class TraditionalSystem : public SingleCoreSystem
 {
   public:
     /** A non-null @p trace replays a captured stream instead of
@@ -51,48 +39,9 @@ class TraditionalSystem : private ooo::MemBackend
                       std::shared_ptr<const func::InstTrace> trace =
                           nullptr);
 
-    /** Run to completion (or the configured instruction budget). */
-    core::RunResult run();
-
-    const ooo::OoOCore &core() const { return core_; }
     const interconnect::Bus &bus() const { return bus_; }
-    /** The live functional oracle; only valid when not replaying. */
-    const func::FuncSim &
-    oracle() const
-    {
-        panic_if(!oracle_, "trace-replay run has no live oracle");
-        return *oracle_;
-    }
-    /** Program output of the executed prefix, either backend. */
-    const std::string &
-    output() const
-    {
-        return oracle_ ? oracle_->output() : replayOutput_;
-    }
-
     std::uint64_t offChipReads() const { return offChipReads_; }
     std::uint64_t offChipWrites() const { return offChipWrites_; }
-
-    /** Emit core disparity events to exactly @p sink, replacing any
-     *  earlier sinks; use addTraceSink to fan out instead. */
-    void setTraceSink(TraceSink *sink);
-    /** Attach @p sink in addition to any already attached. */
-    void addTraceSink(TraceSink *sink);
-
-    /** Register timeline columns (commit rate, DCUB depth, bus
-     *  occupancy, off-chip traffic) with @p sampler and advance it
-     *  from the run loop; nullptr detaches. */
-    void setSampler(obs::Sampler *sampler);
-
-    /** Attach a wall-clock phase profiler (see
-     *  core::DataScalarSystem::setProfiler); the single-core loop
-     *  reports one coarse "tick" phase. Never perturbs results. */
-    void setProfiler(obs::SpanRecorder *prof) { prof_ = prof; }
-
-    /** Write a gem5-style stats dump (rendered from the snapshot). */
-    void dumpStats(std::ostream &os) const;
-    /** Build the stat snapshot (groups "system" and "core"). */
-    std::shared_ptr<const stats::Snapshot> snapshotStats() const;
 
   private:
     bool onChip(Addr line) const { return ptable_.isLocal(line, 0); }
@@ -104,29 +53,20 @@ class TraditionalSystem : private ooo::MemBackend
     void storeMiss(Addr line, Cycle now) override;
     Cycle fetchInstLine(Addr line, Cycle now) override;
 
+    /** Bus occupancy and off-chip traffic, after the core columns. */
+    void addSamplerColumns(obs::Sampler &sampler) override;
+    void addSystemStats(stats::Snapshot &snap,
+                        stats::Snapshot::GroupEntry &sys) const override;
+
     /** Request/response round trip for an off-chip line. */
     Cycle offChipLineRead(Addr line, Cycle now);
 
-    core::SimConfig config_;
-    std::unique_ptr<func::FuncSim> oracle_; ///< null when replaying
-    std::string replayOutput_;
-    ooo::OracleStream stream_;
     mem::PageTable ptable_;
     interconnect::Bus bus_;
     mem::MainMemory onChipMem_;
     mem::MainMemory offChipMem_;
-    ooo::OoOCore core_;
     std::uint64_t offChipReads_ = 0;
     std::uint64_t offChipWrites_ = 0;
-    bool ran_ = false;
-    core::RunResult lastResult_;
-    TeeTraceSink tee_;
-    obs::Sampler *sampler_ = nullptr;
-    obs::SpanRecorder *prof_ = nullptr;
-    std::uint64_t profStartNs_ = 0;
-    std::uint64_t profEndNs_ = 0;
-
-    void applyTraceSinks();
 };
 
 } // namespace baseline

@@ -1,6 +1,7 @@
 #include "check/repro.hh"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/kv.hh"
@@ -106,20 +107,25 @@ parseRepro(std::istream &in, ReproCase &out, std::string &error)
             continue;
         }
         if (key == "system") {
-            if (!driver::parseSystemKind(value, r.config.system)) {
+            std::optional<driver::SystemKind> kind =
+                driver::parseSystemKind(value);
+            if (!kind) {
                 error = "line " + std::to_string(lineno) +
                         ": unknown system '" + value + "'";
                 return false;
             }
+            r.config.system = *kind;
             continue;
         }
         if (key == "interconnect") {
-            if (!driver::parseInterconnectKind(value,
-                                               r.config.interconnect)) {
+            std::optional<core::InterconnectKind> net =
+                driver::parseInterconnectKind(value);
+            if (!net) {
                 error = "line " + std::to_string(lineno) +
                         ": unknown interconnect '" + value + "'";
                 return false;
             }
+            r.config.interconnect = *net;
             continue;
         }
         if (key == "mutation") {

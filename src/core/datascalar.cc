@@ -78,11 +78,7 @@ DataScalarSystem::DataScalarSystem(
     const prog::Program &program, const SimConfig &config,
     mem::PageTable ptable,
     std::shared_ptr<const func::InstTrace> trace)
-    : config_(config), oracle_(ooo::makeOracle(program, trace)),
-      replayOutput_(trace ? trace->outputPrefix(config.maxInsts)
-                          : std::string()),
-      stream_(ooo::makeStream(oracle_.get(), std::move(trace),
-                              config.maxInsts)),
+    : TimingSystem(program, config, std::move(trace)),
       ptable_(std::move(ptable)),
       bus_(config.bus), ring_(config.numNodes, config.ring),
       faults_(config.fault),
@@ -170,11 +166,9 @@ DataScalarSystem::localPageCount(NodeId id) const
     return n;
 }
 
-RunResult
-DataScalarSystem::run()
+TimingSystem::LoopEnd
+DataScalarSystem::runLoop()
 {
-    panic_if(ran_, "DataScalarSystem::run called twice");
-    ran_ = true;
     unsigned threads =
         resolveTickThreads(config_.tickThreads, config_.numNodes);
     if (threads > 1 && config_.numNodes > 1)
@@ -182,7 +176,7 @@ DataScalarSystem::run()
     return runSerial();
 }
 
-RunResult
+TimingSystem::LoopEnd
 DataScalarSystem::runSerial()
 {
     Cycle now = 0;
@@ -207,8 +201,6 @@ DataScalarSystem::runSerial()
         ph_recovery = prof_->addPhase("recovery");
         ph_tick = prof_->addPhase("tick");
         ph_book = prof_->addPhase("bookkeeping");
-        profStartNs_ = prof_->elapsedNs();
-        prof_->lapStart();
     }
 
     while (true) {
@@ -276,18 +268,7 @@ DataScalarSystem::runSerial()
             last_min_commit = min_commit;
             last_progress_cycle = now;
         } else if (now - last_progress_cycle > config_.watchdogCycles) {
-            watchdogDump(std::cerr, now);
-            panic("no commit progress for %llu cycles "
-                  "(min committed %llu @ cycle %llu; %zu deliveries "
-                  "pending, next at %llu; all_done=%d) -- "
-                  "protocol deadlock?",
-                  (unsigned long long)config_.watchdogCycles,
-                  (unsigned long long)min_commit,
-                  (unsigned long long)now, deliveries_.size(),
-                  deliveries_.empty()
-                      ? 0ULL
-                      : (unsigned long long)deliveries_.top().at,
-                  all_done ? 1 : 0);
+            watchdogFire(now, min_commit, all_done);
         }
 
         Cycle next = now + 1;
@@ -323,33 +304,10 @@ DataScalarSystem::runSerial()
             prof_->lap(ph_book);
     }
 
-    return finishRun(now, loop_ticks);
+    return {now + 1, loop_ticks};
 }
 
-RunResult
-DataScalarSystem::finishRun(Cycle final_cycle,
-                            std::uint64_t loop_ticks)
-{
-    // Stamp the loop's end before building the snapshot so the
-    // profile group's total_us brackets exactly the instrumented
-    // loop (its phases already sum to this by the lap pattern).
-    if (prof_)
-        profEndNs_ = prof_->elapsedNs();
-    RunResult result;
-    result.cycles = final_cycle + 1;
-    result.loopTicks = loop_ticks;
-    result.instructions = stream_.endSeq();
-    result.ipc = result.cycles
-                     ? static_cast<double>(result.instructions) /
-                           static_cast<double>(result.cycles)
-                     : 0.0;
-    lastResult_ = result;
-    result.stats = snapshotStats();
-    lastResult_.stats = result.stats;
-    return result;
-}
-
-RunResult
+TimingSystem::LoopEnd
 DataScalarSystem::runParallel(unsigned threads)
 {
     // Lookahead: any send made at cycle c lands at >= c + min_lat,
@@ -372,8 +330,6 @@ DataScalarSystem::runParallel(unsigned threads)
         ph_tick = prof_->addPhase("tick");
         ph_barrier = prof_->addPhase("barrier");
         ph_book = prof_->addPhase("bookkeeping");
-        profStartNs_ = prof_->elapsedNs();
-        prof_->lapStart();
     }
 
     ParallelWindow win(n);
@@ -390,7 +346,7 @@ DataScalarSystem::runParallel(unsigned threads)
 
     // The sink nodes use outside the parallel phase (serial delivery
     // processing and barrier replay go straight to the tee).
-    TraceSink *direct = tee_.empty() ? nullptr : &tee_;
+    TraceSink *direct = traceSink();
 
     while (true) {
         ++loop_ticks;
@@ -444,7 +400,7 @@ DataScalarSystem::runParallel(unsigned threads)
                     sampler_->advance(final_cycle);
                 if (prof_)
                     prof_->lap(ph_book);
-                return finishRun(final_cycle, loop_ticks);
+                return {final_cycle + 1, loop_ticks};
             }
         }
 
@@ -586,7 +542,7 @@ DataScalarSystem::runParallel(unsigned threads)
                 if (it.isSend)
                     broadcastNow(it.node, it.line, it.kind, it.ready);
                 else
-                    tee_.event(it.event);
+                    direct->event(it.event);
             }
         }
         if (prof_)
@@ -612,7 +568,7 @@ DataScalarSystem::runParallel(unsigned threads)
                 sampler_->advance(final_cycle);
             if (prof_)
                 prof_->lap(ph_book);
-            return finishRun(final_cycle, loop_ticks);
+            return {final_cycle + 1, loop_ticks};
         }
 
         stream_.trim(min_commit);
@@ -626,18 +582,7 @@ DataScalarSystem::runParallel(unsigned threads)
             last_progress_cycle = E - 1;
         } else if ((E - 1) - last_progress_cycle >
                    config_.watchdogCycles) {
-            watchdogDump(std::cerr, E - 1);
-            panic("no commit progress for %llu cycles "
-                  "(min committed %llu @ cycle %llu; %zu deliveries "
-                  "pending, next at %llu; all_done=%d) -- "
-                  "protocol deadlock?",
-                  (unsigned long long)config_.watchdogCycles,
-                  (unsigned long long)min_commit,
-                  (unsigned long long)(E - 1), deliveries_.size(),
-                  deliveries_.empty()
-                      ? 0ULL
-                      : (unsigned long long)deliveries_.top().at,
-                  all_done ? 1 : 0);
+            watchdogFire(E - 1, min_commit, all_done);
         }
 
         // ---- Next window start -----------------------------------
@@ -663,69 +608,48 @@ DataScalarSystem::runParallel(unsigned threads)
 }
 
 void
-DataScalarSystem::setTraceSink(TraceSink *sink)
+DataScalarSystem::attachTraceSink(TraceSink *sink)
 {
-    tee_.clear();
-    if (sink)
-        tee_.add(sink);
-    applyTraceSinks();
-}
-
-void
-DataScalarSystem::addTraceSink(TraceSink *sink)
-{
-    if (sink)
-        tee_.add(sink);
-    applyTraceSinks();
-}
-
-void
-DataScalarSystem::applyTraceSinks()
-{
-    TraceSink *eff = tee_.empty() ? nullptr : &tee_;
     for (auto &node : nodes_)
-        node->setTraceSink(eff);
-    faults_.setTraceSink(eff);
+        node->setTraceSink(sink);
+    faults_.setTraceSink(sink);
 }
 
 void
-DataScalarSystem::setSampler(obs::Sampler *sampler)
+DataScalarSystem::addSamplerColumns(obs::Sampler &sampler)
 {
-    sampler_ = sampler;
-    if (!sampler)
-        return;
     for (const auto &node : nodes_) {
         const DataScalarNode *n = node.get();
         std::string prefix = "node" + std::to_string(n->id());
-        sampler->addColumn(prefix + ".commit_rate",
-                           obs::Sampler::Mode::Delta, [n] {
-                               return static_cast<std::uint64_t>(
-                                   n->core().committedSeq());
-                           });
-        sampler->addColumn(prefix + ".bshr_occupancy",
-                           obs::Sampler::Mode::Level, [n] {
-                               return static_cast<std::uint64_t>(
-                                   n->bshr().occupancy());
-                           });
-        sampler->addColumn(prefix + ".dcub_depth",
-                           obs::Sampler::Mode::Level, [n] {
-                               return static_cast<std::uint64_t>(
-                                   n->core().dcubOccupancy());
-                           });
+        sampler.addColumn(prefix + ".commit_rate",
+                          obs::Sampler::Mode::Delta, [n] {
+                              return static_cast<std::uint64_t>(
+                                  n->core().committedSeq());
+                          });
+        sampler.addColumn(prefix + ".bshr_occupancy",
+                          obs::Sampler::Mode::Level, [n] {
+                              return static_cast<std::uint64_t>(
+                                  n->bshr().occupancy());
+                          });
+        sampler.addColumn(prefix + ".dcub_depth",
+                          obs::Sampler::Mode::Level, [n] {
+                              return static_cast<std::uint64_t>(
+                                  n->core().dcubOccupancy());
+                          });
     }
-    sampler->addColumn("bus_messages", obs::Sampler::Mode::Delta,
-                       [this] { return bus_.totalMessages(); });
-    sampler->addColumn("bus_busy_cycles", obs::Sampler::Mode::Delta,
-                       [this] { return bus_.busyCycles(); });
+    sampler.addColumn("bus_messages", obs::Sampler::Mode::Delta,
+                      [this] { return bus_.totalMessages(); });
+    sampler.addColumn("bus_busy_cycles", obs::Sampler::Mode::Delta,
+                      [this] { return bus_.busyCycles(); });
     if (config_.interconnect == InterconnectKind::Ring) {
-        sampler->addColumn("ring_link_busy_cycles",
-                           obs::Sampler::Mode::Delta,
-                           [this] { return ring_.linkBusyCycles(); });
+        sampler.addColumn("ring_link_busy_cycles",
+                          obs::Sampler::Mode::Delta,
+                          [this] { return ring_.linkBusyCycles(); });
     }
     // Datathread lead: the node with the highest committed sequence
     // this window (lowest id wins ties), i.e.\ the paper's notion of
     // which node currently leads the datathread.
-    sampler->addColumn("lead_node", obs::Sampler::Mode::Level, [this] {
+    sampler.addColumn("lead_node", obs::Sampler::Mode::Level, [this] {
         NodeId lead = 0;
         InstSeq best = 0;
         for (const auto &node : nodes_) {
@@ -737,6 +661,23 @@ DataScalarSystem::setSampler(obs::Sampler *sampler)
         }
         return static_cast<std::uint64_t>(lead);
     });
+}
+
+void
+DataScalarSystem::watchdogFire(Cycle now, InstSeq min_commit,
+                               bool all_done) const
+{
+    watchdogDump(std::cerr, now);
+    panic("no commit progress for %llu cycles "
+          "(min committed %llu @ cycle %llu; %zu deliveries "
+          "pending, next at %llu; all_done=%d) -- "
+          "protocol deadlock?",
+          (unsigned long long)config_.watchdogCycles,
+          (unsigned long long)min_commit, (unsigned long long)now,
+          deliveries_.size(),
+          deliveries_.empty() ? 0ULL
+                              : (unsigned long long)deliveries_.top().at,
+          all_done ? 1 : 0);
 }
 
 void
@@ -759,58 +700,43 @@ DataScalarSystem::watchdogDump(std::ostream &os, Cycle now) const
     }
 }
 
-std::shared_ptr<const stats::Snapshot>
-DataScalarSystem::snapshotStats() const
+void
+DataScalarSystem::buildStats(stats::Snapshot &snap,
+                             const RunResult &r) const
 {
-    auto snap = std::make_shared<stats::Snapshot>();
-    stats::Snapshot::GroupEntry &sys = snap->addGroup(
+    stats::Snapshot::GroupEntry &sys = snap.addGroup(
         "system", "---- DataScalarSystem (" +
                       std::to_string(config_.numNodes) +
                       " nodes) ----");
-    snap->addCounter(sys, "cycles", lastResult_.cycles,
-                     "simulated cycles");
-    snap->addCounter(sys, "instructions", lastResult_.instructions,
-                     "committed per node (SPSD)");
-    snap->addScalar(sys, "ipc", lastResult_.ipc,
-                    "instructions per cycle");
-    snap->addCounter(sys, "bus_messages", bus_.totalMessages(),
-                     "global-bus transactions");
-    snap->addCounter(sys, "bus_bytes", bus_.totalBytes(),
-                     "global-bus payload+header bytes");
-    snap->addCounter(sys, "bus_busy_cycles", bus_.busyCycles(),
-                     "cycles the bus was occupied");
+    addRunStats(snap, sys, r, "committed per node (SPSD)");
+    snap.addCounter(sys, "bus_messages", bus_.totalMessages(),
+                    "global-bus transactions");
+    snap.addCounter(sys, "bus_bytes", bus_.totalBytes(),
+                    "global-bus payload+header bytes");
+    snap.addCounter(sys, "bus_busy_cycles", bus_.busyCycles(),
+                    "cycles the bus was occupied");
     if (config_.interconnect == InterconnectKind::Ring) {
-        snap->addCounter(sys, "ring_messages", ring_.totalMessages(),
-                         "ring broadcasts");
-        snap->addCounter(sys, "ring_link_busy_cycles",
-                         ring_.linkBusyCycles(),
-                         "summed link occupancy");
+        snap.addCounter(sys, "ring_messages", ring_.totalMessages(),
+                        "ring broadcasts");
+        snap.addCounter(sys, "ring_link_busy_cycles",
+                        ring_.linkBusyCycles(),
+                        "summed link occupancy");
     }
     if (faults_.enabled()) {
         const interconnect::FaultStats &fs = faults_.faultStats();
-        snap->addCounter(sys, "fault_decisions", fs.decisions,
-                         "transmissions considered");
-        snap->addCounter(sys, "fault_drops", fs.drops,
-                         "transmissions lost");
-        snap->addCounter(sys, "fault_duplicates", fs.duplicates,
-                         "transmissions duplicated");
-        snap->addCounter(sys, "fault_delays", fs.delays,
-                         "deliveries jittered");
-        snap->addCounter(sys, "fault_delay_cycles", fs.delayCycles,
-                         "summed injected jitter");
+        snap.addCounter(sys, "fault_decisions", fs.decisions,
+                        "transmissions considered");
+        snap.addCounter(sys, "fault_drops", fs.drops,
+                        "transmissions lost");
+        snap.addCounter(sys, "fault_duplicates", fs.duplicates,
+                        "transmissions duplicated");
+        snap.addCounter(sys, "fault_delays", fs.delays,
+                        "deliveries jittered");
+        snap.addCounter(sys, "fault_delay_cycles", fs.delayCycles,
+                        "summed injected jitter");
     }
     for (const auto &node : nodes_)
-        node->buildStats(*snap);
-    if (prof_)
-        obs::addProfileGroup(*snap, *prof_,
-                             profEndNs_ - profStartNs_);
-    return snap;
-}
-
-void
-DataScalarSystem::dumpStats(std::ostream &os) const
-{
-    snapshotStats()->dump(os);
+        node->buildStats(snap);
 }
 
 bool

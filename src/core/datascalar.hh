@@ -17,48 +17,45 @@
 
 #include "common/trace.hh"
 #include "core/node.hh"
-#include "core/sim_config.hh"
-#include "func/func_sim.hh"
-#include "func/inst_trace.hh"
+#include "core/timing_system.hh"
 #include "interconnect/bus.hh"
 #include "interconnect/fault_model.hh"
 #include "mem/page_table.hh"
-#include "obs/sampler.hh"
-#include "obs/span.hh"
-#include "ooo/oracle_stream.hh"
-#include "prog/program.hh"
-#include "stats/snapshot.hh"
 
 namespace dscalar {
 namespace core {
 
-/** A multi-node DataScalar timing simulation. */
-class DataScalarSystem : public BroadcastPort
+/**
+ * A multi-node DataScalar timing simulation.
+ *
+ * With SimConfig::tickThreads resolved above 1 the nodes tick
+ * concurrently in conservative windows bounded by the minimum
+ * cross-node delivery latency; results — cycle counts, stats,
+ * retirement output, trace-event streams, sampler timelines — are
+ * byte-identical to the serial loop (see docs/PERF.md and
+ * tests/test_parallel_tick.cc).
+ *
+ * Trace sinks receive per-node, core disparity, and fault events.
+ * Sampler columns: per-node commit rate / BSHR occupancy / DCUB
+ * depth, bus occupancy, and the leading node. Profiler phases:
+ * serial loop delivery / recovery / tick / bookkeeping; parallel
+ * loop setup / delivery / oracle_extend / tick / barrier /
+ * bookkeeping.
+ */
+class DataScalarSystem : public TimingSystem, public BroadcastPort
 {
   public:
     /**
      * @param trace optional captured dynamic stream: when non-null
      *        the run replays it instead of executing the program
      *        functionally (byte-identical results, see
-     *        driver::TraceCache); when null a private FuncSim
-     *        oracle produces the stream live.
+     *        driver::TraceCache); when null the stream captures the
+     *        program a chunk at a time.
      */
     DataScalarSystem(const prog::Program &program, const SimConfig &config,
                      mem::PageTable ptable,
                      std::shared_ptr<const func::InstTrace> trace =
                          nullptr);
-
-    /**
-     * Run to completion (or the configured instruction budget).
-     *
-     * With SimConfig::tickThreads resolved above 1 the nodes tick
-     * concurrently in conservative windows bounded by the minimum
-     * cross-node delivery latency; results — cycle counts, stats,
-     * retirement output, trace-event streams, sampler timelines —
-     * are byte-identical to the serial loop (see docs/PERF.md and
-     * tests/test_parallel_tick.cc).
-     */
-    RunResult run();
 
     unsigned numNodes() const { return config_.numNodes; }
     const DataScalarNode &node(NodeId id) const { return *nodes_.at(id); }
@@ -69,20 +66,6 @@ class DataScalarSystem : public BroadcastPort
     /** Pages held in node @p id's local memory (owned + replicated),
      *  the per-node capacity an IRAM part would need. */
     std::size_t localPageCount(NodeId id) const;
-    /** The live functional oracle; only valid when not replaying. */
-    const func::FuncSim &
-    oracle() const
-    {
-        panic_if(!oracle_, "trace-replay run has no live oracle");
-        return *oracle_;
-    }
-    /** Program output (Print* syscalls) of the executed prefix,
-     *  regardless of backend. */
-    const std::string &
-    output() const
-    {
-        return oracle_ ? oracle_->output() : replayOutput_;
-    }
     const mem::PageTable &pageTable() const { return ptable_; }
 
     /**
@@ -105,48 +88,6 @@ class DataScalarSystem : public BroadcastPort
     {
         return deliveries_.empty() ? cycleMax : deliveries_.top().at;
     }
-
-    /**
-     * Emit typed protocol events (per-node, core disparity, and
-     * fault events) to exactly @p sink, detaching any sinks attached
-     * earlier (historically this replacement was silent; use
-     * addTraceSink to fan out instead); nullptr disables tracing.
-     */
-    void setTraceSink(TraceSink *sink);
-
-    /** Attach @p sink IN ADDITION to any already attached (text log,
-     *  Perfetto exporter, and flight recorder can coexist). */
-    void addTraceSink(TraceSink *sink);
-
-    /**
-     * Register @p sampler's timeline columns (per-node commit rate /
-     * BSHR occupancy / DCUB depth, bus occupancy, leading-node id)
-     * and advance it from the run loop; nullptr detaches. Sampling
-     * only reads state — cycle counts and the retirement stream are
-     * unchanged (locked by tests/test_obs_sampler.cc).
-     */
-    void setSampler(obs::Sampler *sampler);
-
-    /**
-     * Attach a wall-clock phase profiler; nullptr (the default)
-     * costs nothing on the run loop. The run loop then attributes
-     * its wall time to named phases via @p prof's lap() accumulators
-     * — serial: delivery / recovery / tick / bookkeeping; parallel:
-     * setup / delivery / oracle_extend / tick / barrier /
-     * bookkeeping — and snapshotStats() appends them as the
-     * `profile` group (`phase_<name>_us` plus an independently
-     * measured `total_us`). Wall-clock only: simulated results are
-     * byte-identical with or without a profiler (locked by
-     * tests/test_obs_span.cc).
-     */
-    void setProfiler(obs::SpanRecorder *prof) { prof_ = prof; }
-
-    /** Write a gem5-style stats dump for the whole system. */
-    void dumpStats(std::ostream &os) const;
-
-    /** Build the full stat snapshot (group "system" + one group per
-     *  node); dumpStats and the JSON export render from this. */
-    std::shared_ptr<const stats::Snapshot> snapshotStats() const;
 
     /** Structured deadlock diagnostics: per-node pipeline heads,
      *  BSHR contents with ages, and in-flight messages. Written to
@@ -180,21 +121,26 @@ class DataScalarSystem : public BroadcastPort
     /** Per-run state of the parallel (windowed) loop; see the .cc. */
     struct ParallelWindow;
 
-    /** The pre-existing serial run loop (tickThreads <= 1). */
-    RunResult runSerial();
+    /** Serial loop, or the parallel one when tickThreads resolves
+     *  above 1. */
+    LoopEnd runLoop() override;
+    /** The serial run loop (tickThreads <= 1). */
+    LoopEnd runSerial();
     /** Conservative-window parallel loop on @p threads workers. */
-    RunResult runParallel(unsigned threads);
-    /** Assemble the RunResult once the final cycle is known. */
-    RunResult finishRun(Cycle final_cycle, std::uint64_t loop_ticks);
+    LoopEnd runParallel(unsigned threads);
+    void attachTraceSink(TraceSink *sink) override;
+    void addSamplerColumns(obs::Sampler &sampler) override;
+    void buildStats(stats::Snapshot &snap,
+                    const RunResult &r) const override;
+    /** Write watchdogDump to stderr and panic: no commit progress
+     *  for watchdogCycles up to @p now. */
+    [[noreturn]] void watchdogFire(Cycle now, InstSeq min_commit,
+                                   bool all_done) const;
     /** Serial transmit path of broadcast(): puts the message on the
      *  interconnect immediately and enqueues its deliveries. */
     void broadcastNow(NodeId src, Addr line, interconnect::MsgKind kind,
                       Cycle ready);
 
-    SimConfig config_;
-    std::unique_ptr<func::FuncSim> oracle_; ///< null when replaying
-    std::string replayOutput_;
-    ooo::OracleStream stream_;
     mem::PageTable ptable_;
     interconnect::Bus bus_;
     interconnect::Ring ring_;
@@ -205,25 +151,11 @@ class DataScalarSystem : public BroadcastPort
                         std::greater<Delivery>>
         deliveries_;
     std::uint64_t deliveryOrder_ = 0;
-    bool ran_ = false;
-    RunResult lastResult_;
-    /** Owned fan-out for attached trace sinks (empty = tracing off). */
-    TeeTraceSink tee_;
-    obs::Sampler *sampler_ = nullptr;
-    obs::SpanRecorder *prof_ = nullptr;
-    /** Recorder-epoch stamps bracketing the run loop (profile group's
-     *  total_us; phases must sum to it, docs/OBSERVABILITY.md). */
-    std::uint64_t profStartNs_ = 0;
-    std::uint64_t profEndNs_ = 0;
     /** Non-null only while worker threads are inside a parallel
      *  window: broadcast() then buffers the send per source node
      *  instead of transmitting, and the barrier replays the buffers
      *  in the serial loop's order. */
     ParallelWindow *pwin_ = nullptr;
-
-    /** Point nodes and the fault model at the current effective
-     *  sink (&tee_, or nullptr when no sink is attached). */
-    void applyTraceSinks();
 };
 
 } // namespace core

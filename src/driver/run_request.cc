@@ -63,16 +63,6 @@ parseSystemKind(const std::string &name)
     return std::nullopt;
 }
 
-bool
-parseSystemKind(const std::string &name, SystemKind &out)
-{
-    std::optional<SystemKind> kind = parseSystemKind(name);
-    if (!kind)
-        return false;
-    out = *kind;
-    return true;
-}
-
 const char *
 interconnectKindName(core::InterconnectKind kind)
 {
@@ -91,18 +81,6 @@ parseInterconnectKind(const std::string &name)
     if (name == "ring")
         return core::InterconnectKind::Ring;
     return std::nullopt;
-}
-
-bool
-parseInterconnectKind(const std::string &name,
-                      core::InterconnectKind &out)
-{
-    std::optional<core::InterconnectKind> kind =
-        parseInterconnectKind(name);
-    if (!kind)
-        return false;
-    out = *kind;
-    return true;
 }
 
 // -------------------------------------------------------------------
@@ -367,7 +345,7 @@ isRegisteredWorkload(const std::string &name)
 }
 
 /**
- * Observability wiring shared by the three timing systems: optional
+ * Observability wiring for any timing system: optional
  * stderr tracing and Perfetto export (fanned out via the system's
  * TeeTraceSink; path "-" streams to stdout), an optional flight
  * recorder dumped by any panic (e.g. the run-loop watchdog), an
@@ -375,10 +353,9 @@ isRegisteredWorkload(const std::string &name)
  * phase profiler (@p spans), and the run itself. @return false with
  * resp.error set when an attachment cannot be created.
  */
-template <typename System>
 bool
-runAttached(System &sys, const RunRequest &req, RunResponse &resp,
-            obs::SpanRecorder *spans)
+runAttached(core::TimingSystem &sys, const RunRequest &req,
+            RunResponse &resp, obs::SpanRecorder *spans)
 {
     TextTraceSink text_sink(std::cerr);
     if (req.traceToStderr)

@@ -57,12 +57,6 @@ const char *systemKindName(SystemKind kind);
  *  SystemKind. */
 std::optional<SystemKind> parseSystemKind(const std::string &name);
 
-/**
- * Parse a CLI system name.
- * @return false when @p name matches no SystemKind (@p out untouched).
- */
-bool parseSystemKind(const std::string &name, SystemKind &out);
-
 /** @return printable name of @p kind ("bus" | "ring"). */
 const char *interconnectKindName(core::InterconnectKind kind);
 
@@ -70,14 +64,6 @@ const char *interconnectKindName(core::InterconnectKind kind);
  *  InterconnectKind. */
 std::optional<core::InterconnectKind>
 parseInterconnectKind(const std::string &name);
-
-/**
- * Parse a CLI interconnect name.
- * @return false when @p name matches no InterconnectKind (@p out
- * untouched).
- */
-bool parseInterconnectKind(const std::string &name,
-                           core::InterconnectKind &out);
 
 /**
  * One timing run, fully described.

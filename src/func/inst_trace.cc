@@ -87,50 +87,52 @@ InstTrace::fromParts(Parts &&parts)
     return trace;
 }
 
+std::shared_ptr<const InstTrace::Chunk>
+InstTrace::captureChunk(FuncSim &sim, InstSeq first_seq,
+                        InstSeq records,
+                        std::vector<OutputMark> *marks)
+{
+    auto c = std::make_shared<Chunk>();
+    std::size_t reserve = static_cast<std::size_t>(records);
+    c->pcStore.reserve(reserve);
+    c->wordStore.reserve(reserve);
+    c->effAddrStore.reserve(reserve);
+    c->memSizeStore.reserve(reserve);
+    c->nextPcStore.reserve(reserve);
+    DynInst rec;
+    std::size_t out_len = sim.output().size();
+    for (InstSeq i = 0; i < records && sim.step(&rec); ++i) {
+        c->pcStore.push_back(rec.pc);
+        // encode() round-trips through decode(), so the stored word
+        // reproduces the retired instruction exactly.
+        c->wordStore.push_back(isa::encode(rec.inst));
+        c->effAddrStore.push_back(rec.effAddr);
+        c->memSizeStore.push_back(
+            static_cast<std::uint8_t>(rec.memSize));
+        c->nextPcStore.push_back(rec.nextPc);
+        if (marks && sim.output().size() != out_len) {
+            out_len = sim.output().size();
+            marks->push_back(OutputMark{
+                first_seq + i, static_cast<std::uint64_t>(out_len)});
+        }
+    }
+    c->seal();
+    return c;
+}
+
 std::shared_ptr<const InstTrace>
 InstTrace::capture(const prog::Program &program, InstSeq max_insts)
 {
     FuncSim sim(program);
     auto trace = std::shared_ptr<InstTrace>(new InstTrace());
-
-    std::shared_ptr<Chunk> cur;
-    DynInst rec;
-    InstSeq n = 0;
-    std::size_t out_len = 0;
     InstSeq budget = max_insts ? max_insts : ~static_cast<InstSeq>(0);
-    while (n < budget && sim.step(&rec)) {
-        if (!cur || cur->pcStore.size() == kChunkRecords) {
-            if (cur) {
-                cur->seal();
-                trace->chunks_.push_back(std::move(cur));
-            }
-            cur = std::make_shared<Chunk>();
-            std::size_t reserve = static_cast<std::size_t>(
-                std::min(budget - n, kChunkRecords));
-            cur->pcStore.reserve(reserve);
-            cur->wordStore.reserve(reserve);
-            cur->effAddrStore.reserve(reserve);
-            cur->memSizeStore.reserve(reserve);
-            cur->nextPcStore.reserve(reserve);
-        }
-        cur->pcStore.push_back(rec.pc);
-        // encode() round-trips through decode(), so the stored word
-        // reproduces the retired instruction exactly.
-        cur->wordStore.push_back(isa::encode(rec.inst));
-        cur->effAddrStore.push_back(rec.effAddr);
-        cur->memSizeStore.push_back(
-            static_cast<std::uint8_t>(rec.memSize));
-        cur->nextPcStore.push_back(rec.nextPc);
-        if (sim.output().size() != out_len) {
-            out_len = sim.output().size();
-            trace->outputMarks_.push_back(
-                OutputMark{n, static_cast<std::uint64_t>(out_len)});
-        }
-        ++n;
-    }
-    if (cur) {
-        cur->seal();
-        trace->chunks_.push_back(std::move(cur));
+    InstSeq n = 0;
+    // A running FuncSim always steps, so every chunk is non-empty.
+    while (n < budget && !sim.halted()) {
+        trace->chunks_.push_back(
+            captureChunk(sim, n, std::min(budget - n, kChunkRecords),
+                         &trace->outputMarks_));
+        n += trace->chunks_.back()->size();
     }
     trace->length_ = n;
     trace->halted_ = sim.halted();

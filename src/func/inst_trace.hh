@@ -121,6 +121,18 @@ class InstTrace
     static std::shared_ptr<const InstTrace>
     capture(const prog::Program &program, InstSeq max_insts = 0);
 
+    /**
+     * The one capture routine, shared by capture() and a
+     * program-backed ooo::OracleStream: step @p sim for up to
+     * @p records instructions into a new sealed chunk (fewer when the
+     * program halts inside it). With @p marks non-null, every record
+     * that printed appends an OutputMark; @p first_seq is the
+     * sequence number of the chunk's first record.
+     */
+    static std::shared_ptr<const Chunk>
+    captureChunk(FuncSim &sim, InstSeq first_seq, InstSeq records,
+                 std::vector<OutputMark> *marks = nullptr);
+
     /** Everything a loader must supply to rebuild a trace. */
     struct Parts
     {

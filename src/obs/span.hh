@@ -18,7 +18,7 @@
  *    the whole loop contiguously (delivery vs. tick vs. barrier
  *    vs. oracle-extend), so the per-phase totals sum to the loop's
  *    wall time by construction. Systems expose them as the `profile`
- *    stats group (core::DataScalarSystem::setProfiler and friends).
+ *    stats group (core::TimingSystem::setProfiler).
  *
  * A disabled recorder (or a null pointer, the run-loop convention)
  * is free: every operation returns immediately and allocates

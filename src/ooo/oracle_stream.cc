@@ -7,42 +7,41 @@
 namespace dscalar {
 namespace ooo {
 
+OracleStream::OracleStream(const prog::Program &program,
+                           InstSeq max_insts)
+    : sim_(std::make_unique<func::FuncSim>(program))
+{
+    if (max_insts)
+        sourceEnd_ = max_insts;
+}
+
 OracleStream::OracleStream(
     std::shared_ptr<const func::InstTrace> trace, InstSeq max_insts)
-    : replay_(true)
 {
     panic_if(!trace, "replay stream needs a trace");
-    // A budget-truncated capture only stands in for a live run whose
-    // budget it covers; replaying it further would silently simulate
-    // fewer instructions than the live run and skew every number.
+    // A budget-truncated capture only stands in for a program-backed
+    // run whose budget it covers; replaying it further would silently
+    // simulate fewer instructions and skew every number.
     panic_if(!trace->programHalted() &&
                  (max_insts == 0 || max_insts > trace->length()),
              "trace of %llu records (program not halted) cannot "
              "cover a max_insts=%llu run",
              (unsigned long long)trace->length(),
              (unsigned long long)max_insts);
-    maxInsts_ = max_insts;
-    replayEnd_ = max_insts ? std::min(trace->length(), max_insts)
+    traceOutput_ = trace->outputPrefix(max_insts);
+    sourceEnd_ = max_insts ? std::min(trace->length(), max_insts)
                            : trace->length();
     // The stream ends in a program halt (rather than an instruction
     // budget) only when the whole captured run is replayed and the
     // capture itself ran to completion.
-    replayHalts_ =
-        replayEnd_ == trace->length() && trace->programHalted();
-    traceChunks_.reserve(trace->numChunks());
+    sourceHalts_ =
+        sourceEnd_ == trace->length() && trace->programHalted();
+    sourceChunks_.reserve(trace->numChunks());
     for (std::size_t i = 0; i < trace->numChunks(); ++i)
-        traceChunks_.push_back(trace->chunk(i));
+        sourceChunks_.push_back(trace->chunk(i));
     // The trace itself is not retained: once every consumer trims
     // past a chunk (and any cache lets the trace go), its memory is
     // freed even while later chunks are still being replayed.
-}
-
-std::vector<func::DynInst> &
-OracleStream::newChunk(std::size_t records)
-{
-    chunks_.emplace_back();
-    chunks_.back().reserve(records);
-    return chunks_.back();
 }
 
 bool
@@ -53,60 +52,39 @@ OracleStream::extend(InstSeq seq)
              (unsigned long long)seq,
              (unsigned long long)chunkStart_);
 
-    if (replay_) {
-        while (!ended_ && seq >= limit_) {
-            if (limit_ >= replayEnd_) {
-                // Budget truncation (or a fully consumed trace) is
-                // only discovered by probing past the end, exactly
-                // like the live backend.
-                ended_ = true;
-                end_ = replayEnd_;
-                break;
-            }
-            std::size_t ci =
-                static_cast<std::size_t>(limit_ >> kChunkShift);
-            InstSeq chunk_end = std::min(
-                replayEnd_, (static_cast<InstSeq>(ci) + 1)
-                                << kChunkShift);
-            std::size_t n =
-                static_cast<std::size_t>(chunk_end - limit_);
-            const func::InstTrace::Chunk &src = *traceChunks_[ci];
-            std::vector<func::DynInst> &dst = newChunk(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                dst.emplace_back();
-                src.expand(i, limit_ + i, dst.back());
-            }
-            limit_ = chunk_end;
-            if (limit_ == replayEnd_ && replayHalts_) {
-                // The halt record is buffered: the end is known, as
-                // it would be once a live FuncSim retires HALT.
-                ended_ = true;
-                end_ = replayEnd_;
-            }
-        }
-        return seq < limit_;
-    }
-
     while (!ended_ && seq >= limit_) {
-        if (maxInsts_ != 0 && limit_ >= maxInsts_) {
+        if (limit_ >= sourceEnd_) {
+            // Budget truncation (or a fully consumed trace) is only
+            // discovered by probing past the end.
             ended_ = true;
-            end_ = maxInsts_;
+            end_ = sourceEnd_;
             break;
         }
-        func::DynInst rec;
-        if (!sim_->step(&rec)) {
-            ended_ = true;
-            end_ = limit_;
-            break;
+        std::size_t ci = static_cast<std::size_t>(limit_ >> kChunkShift);
+        InstSeq chunk_end = std::min(
+            sourceEnd_, (static_cast<InstSeq>(ci) + 1) << kChunkShift);
+        if (sim_) {
+            // Program-backed: capture this chunk now. A halt inside
+            // it fixes the stream's end.
+            sourceChunks_.push_back(func::InstTrace::captureChunk(
+                *sim_, limit_, chunk_end - limit_));
+            if (sim_->halted()) {
+                sourceEnd_ = limit_ + sourceChunks_.back()->size();
+                sourceHalts_ = true;
+                chunk_end = sourceEnd_;
+            }
         }
-        if (chunks_.empty() ||
-            chunks_.back().size() == kChunkRecords)
-            newChunk(static_cast<std::size_t>(kChunkRecords));
-        chunks_.back().push_back(rec);
-        ++limit_;
-        if (sim_->halted()) {
+        std::size_t n = static_cast<std::size_t>(chunk_end - limit_);
+        const func::InstTrace::Chunk &src = *sourceChunks_[ci];
+        std::vector<func::DynInst> &dst = chunks_.emplace_back();
+        dst.reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
+            src.expand(i, limit_ + i, dst.emplace_back());
+        limit_ = chunk_end;
+        if (limit_ == sourceEnd_ && sourceHalts_) {
+            // The halt record is buffered: the end is known.
             ended_ = true;
-            end_ = limit_;
+            end_ = sourceEnd_;
         }
     }
     return seq < limit_;
@@ -115,18 +93,14 @@ OracleStream::extend(InstSeq seq)
 void
 OracleStream::trim(InstSeq min_seq)
 {
-    // Whole chunks only; the partial tail chunk (live append target)
-    // always stays.
+    // Whole chunks only; the partial tail chunk always stays.
     while (!chunks_.empty() &&
            chunks_.front().size() == kChunkRecords &&
            chunkStart_ + kChunkRecords <= min_seq) {
         chunks_.pop_front();
-        if (replay_) {
-            std::size_t ci = static_cast<std::size_t>(
-                chunkStart_ >> kChunkShift);
-            if (ci < traceChunks_.size())
-                traceChunks_[ci].reset();
-        }
+        sourceChunks_[static_cast<std::size_t>(chunkStart_ >>
+                                               kChunkShift)]
+            .reset();
         chunkStart_ += kChunkRecords;
     }
 }

@@ -8,16 +8,18 @@
  * (Section 4.2), and the SPSD property that all DataScalar nodes
  * execute the identical instruction stream.
  *
- * Two backends produce the records:
- *  - live: a func::FuncSim executes the program as consumers extend
- *    the window (capture and single-shot runs);
- *  - replay: a previously captured func::InstTrace is expanded
- *    chunk-by-chunk, so a sweep re-running the same workload never
- *    re-executes it functionally (see driver::TraceCache).
+ * Records have one source, func::InstTrace chunks, expanded one
+ * chunk at a time as consumers extend the window. A stream over a
+ * captured trace expands that trace's chunks, so a sweep re-running
+ * the same workload never re-executes it functionally (see
+ * driver::TraceCache). A stream over a program captures each chunk
+ * on demand with the routine InstTrace::capture uses, so both
+ * constructors yield the same records and discover the end at the
+ * same probe by construction.
  *
  * Buffered records live in fixed-size chunks; trim() releases whole
- * chunks once every consumer is past them, and in replay mode also
- * drops the per-chunk reference into the shared trace so its memory
+ * chunks once every consumer is past them, together with the
+ * stream's reference to the source chunk, so a shared trace's memory
  * can go as soon as all other holders are done with it.
  */
 
@@ -26,11 +28,13 @@
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "func/func_sim.hh"
 #include "func/inst_trace.hh"
+#include "prog/program.hh"
 
 namespace dscalar {
 namespace ooo {
@@ -39,26 +43,25 @@ namespace ooo {
 class OracleStream
 {
   public:
-    /** Buffered records per chunk; matches the trace chunking so a
-     *  replay chunk expands from exactly one trace chunk. */
+    /** Buffered records per chunk; matches the trace chunking so each
+     *  buffered chunk expands from exactly one trace chunk. */
     static constexpr unsigned kChunkShift = func::InstTrace::kChunkShift;
     static constexpr InstSeq kChunkRecords = func::InstTrace::kChunkRecords;
     static constexpr InstSeq kChunkMask = func::InstTrace::kChunkMask;
 
     /**
-     * Live backend: @p sim executes the program on demand.
+     * Stream over @p program, captured a chunk at a time as consumers
+     * extend the window.
      * @param max_insts truncate the stream after this many dynamic
      *        instructions (0 = run the program to completion). The
      *        paper runs "100 million instructions or to completion,
      *        whichever came first".
      */
-    explicit OracleStream(func::FuncSim &sim, InstSeq max_insts = 0)
-        : sim_(&sim), maxInsts_(max_insts)
-    {
-    }
+    explicit OracleStream(const prog::Program &program,
+                          InstSeq max_insts = 0);
 
-    /** Replay backend: expand records from a captured trace instead
-     *  of executing; @p max_insts further truncates the trace. */
+    /** Stream over a captured trace (no functional execution at
+     *  all); @p max_insts further truncates the trace. */
     explicit OracleStream(
         std::shared_ptr<const func::InstTrace> trace,
         InstSeq max_insts = 0);
@@ -114,29 +117,36 @@ class OracleStream
         return static_cast<std::size_t>(limit_ - chunkStart_);
     }
 
-    /** Replay streams never touch a FuncSim. */
-    bool replaying() const { return replay_; }
+    /** Bytes the stream's records print (Print* syscalls); complete
+     *  once the consumers have run the stream to its end. */
+    const std::string &
+    output() const
+    {
+        return sim_ ? sim_->output() : traceOutput_;
+    }
 
   private:
-    /** Slow path of available(): produce records (live execution or
-     *  trace expansion) until @p seq is buffered or the stream
-     *  ends. */
+    /** Slow path of available(): expand source chunks (capturing
+     *  them first when program-backed) until @p seq is buffered or
+     *  the stream ends. */
     bool extend(InstSeq seq);
 
-    /** Append an empty chunk sized for @p records entries. */
-    std::vector<func::DynInst> &newChunk(std::size_t records);
-
-    func::FuncSim *sim_ = nullptr;
-    bool replay_ = false;
-    /** Per-chunk references into the trace (the stream does not pin
-     *  the whole InstTrace), dropped as trim() passes each chunk —
-     *  the refcounted chunk release that lets a shared trace's
-     *  memory go progressively as every consumer advances. */
+    /** Program-backed only: executes the program as chunks are
+     *  captured. */
+    std::unique_ptr<func::FuncSim> sim_;
+    /** Output of the replayed prefix (trace-backed only). */
+    std::string traceOutput_;
+    /** Source chunk per chunk index (the stream does not pin a whole
+     *  InstTrace), dropped as trim() passes each chunk — the
+     *  refcounted chunk release that lets a shared trace's memory go
+     *  progressively as every consumer advances. */
     std::vector<std::shared_ptr<const func::InstTrace::Chunk>>
-        traceChunks_;
-    InstSeq maxInsts_ = 0;
-    InstSeq replayEnd_ = 0;     ///< trace records to replay
-    bool replayHalts_ = false;  ///< trace end is a program halt
+        sourceChunks_;
+    /** One past the last record the stream may produce: the budget,
+     *  or the program's end once known. */
+    InstSeq sourceEnd_ = ~static_cast<InstSeq>(0);
+    /** sourceEnd_ is a program halt rather than a budget. */
+    bool sourceHalts_ = false;
 
     /** Buffered records: chunks_[0] starts at chunkStart_ (always a
      *  chunk multiple); only the last chunk may be partial. */
@@ -146,28 +156,6 @@ class OracleStream
     bool ended_ = false;
     InstSeq end_ = 0;
 };
-
-/** Backend-selection helpers shared by the timing systems: a null
- *  trace selects a live FuncSim oracle over @p program; a non-null
- *  trace selects replay (no functional execution at all). */
-inline std::unique_ptr<func::FuncSim>
-makeOracle(const prog::Program &program,
-           const std::shared_ptr<const func::InstTrace> &trace)
-{
-    if (trace)
-        return nullptr;
-    return std::make_unique<func::FuncSim>(program);
-}
-
-inline OracleStream
-makeStream(func::FuncSim *sim,
-           std::shared_ptr<const func::InstTrace> trace,
-           InstSeq max_insts)
-{
-    if (trace)
-        return OracleStream(std::move(trace), max_insts);
-    return OracleStream(*sim, max_insts);
-}
 
 } // namespace ooo
 } // namespace dscalar

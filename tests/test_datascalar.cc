@@ -217,7 +217,7 @@ TEST(DataScalar, PointerChaseMatchesFunctional)
     RunResult r = sys.run();
     EXPECT_EQ(r.instructions, ref.retired());
     EXPECT_TRUE(sys.protocolDrained());
-    EXPECT_EQ(sys.oracle().output(), ref.output());
+    EXPECT_EQ(sys.output(), ref.output());
 }
 
 TEST(DataScalar, SingleNodeHasNoBusTraffic)

@@ -8,6 +8,7 @@
  */
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -35,8 +36,11 @@ struct CliResult
 CliResult
 runDsfuzz(const std::string &args)
 {
+    // ctest runs each case as its own process, concurrently under
+    // -j: the pid keeps their capture files apart.
     static int counter = 0;
     std::string outFile = ::testing::TempDir() + "/dsfuzz_cli_out." +
+                          std::to_string(::getpid()) + "." +
                           std::to_string(counter++);
     std::string cmd = std::string(DSFUZZ_BIN) + " " + args + " > " +
                       outFile + " 2>&1";
@@ -82,6 +86,19 @@ TEST(DsfuzzCli, UnknownMutationExitsTwo)
 {
     CliResult res = runDsfuzz("--mutate=not-a-mutation");
     EXPECT_EQ(res.exitCode, 2) << res.output;
+}
+
+TEST(DsfuzzCli, BadNumericValueExitsTwo)
+{
+    // Junk, and a value that would silently truncate into unsigned,
+    // are usage errors rather than uncaught exceptions or wrap-round.
+    for (const char *args :
+         {"--runs=abc", "--time-budget=x", "--ngram=4294967296"}) {
+        CliResult res = runDsfuzz(args);
+        EXPECT_EQ(res.exitCode, 2) << args << ": " << res.output;
+        EXPECT_NE(res.output.find("usage:"), std::string::npos)
+            << args;
+    }
 }
 
 TEST(DsfuzzCli, MissingReproFileExitsTwo)

@@ -140,28 +140,30 @@ TEST(InstTrace, ReplayStreamMatchesLiveStream)
     constexpr InstSeq budget = 6000; // spans two chunks
     auto trace = InstTrace::capture(p, budget);
 
+    // Replayed records against a directly stepped FuncSim, and the
+    // end against a program-backed stream's.
     FuncSim sim(p);
-    ooo::OracleStream live(sim, budget);
+    ooo::OracleStream program_backed(p, budget);
     ooo::OracleStream replay(trace, budget);
-    EXPECT_FALSE(live.replaying());
-    EXPECT_TRUE(replay.replaying());
 
-    for (InstSeq seq = 0;; ++seq) {
-        bool has = live.available(seq);
-        ASSERT_EQ(replay.available(seq), has);
-        if (!has)
-            break;
-        const DynInst &a = live.get(seq);
+    DynInst a;
+    InstSeq seq = 0;
+    for (; seq < budget && sim.step(&a); ++seq) {
+        ASSERT_TRUE(replay.available(seq));
+        ASSERT_TRUE(program_backed.available(seq));
         const DynInst &b = replay.get(seq);
-        ASSERT_EQ(b.seq, a.seq);
+        ASSERT_EQ(b.seq, seq);
         ASSERT_EQ(b.pc, a.pc);
         ASSERT_EQ(isa::encode(b.inst), isa::encode(a.inst));
         ASSERT_EQ(b.effAddr, a.effAddr);
         ASSERT_EQ(b.memSize, a.memSize);
         ASSERT_EQ(b.nextPc, a.nextPc);
     }
-    EXPECT_EQ(live.ended(), replay.ended());
-    EXPECT_EQ(live.endSeq(), replay.endSeq());
+    EXPECT_FALSE(replay.available(seq));
+    EXPECT_FALSE(program_backed.available(seq));
+    EXPECT_EQ(program_backed.ended(), replay.ended());
+    EXPECT_EQ(program_backed.endSeq(), replay.endSeq());
+    EXPECT_EQ(replay.endSeq(), seq);
 }
 
 TEST(InstTrace, ReplayTruncatesBelowTraceLength)

@@ -11,7 +11,6 @@
 #include "core/node.hh"
 #include "core/sim_config.hh"
 #include "driver/driver.hh"
-#include "func/func_sim.hh"
 #include "ooo/oracle_stream.hh"
 #include "prog/assembler.hh"
 
@@ -45,8 +44,8 @@ class NodeTest : public ::testing::Test
 {
   protected:
     NodeTest()
-        : table_(2), program_(), oracle_((prepare(), program_)),
-          stream_(oracle_), cfg_(driver::paperConfig()),
+        : table_(2), program_(), stream_((prepare(), program_)),
+          cfg_(driver::paperConfig()),
           node_(0, cfg_, table_, stream_, port_)
     {
     }
@@ -68,7 +67,6 @@ class NodeTest : public ::testing::Test
 
     mem::PageTable table_;
     prog::Program program_;
-    func::FuncSim oracle_;
     ooo::OracleStream stream_;
     SimConfig cfg_;
     MockPort port_;

@@ -225,8 +225,7 @@ runFpKernel(const ooo::CoreParams &params)
     a.halt();
     a.finalize();
 
-    func::FuncSim sim(p);
-    ooo::OracleStream stream(sim);
+    ooo::OracleStream stream(p);
     NullBackend backend{mem::MainMemoryParams{}};
     ooo::OoOCore core(params, stream, backend);
     Cycle now = 0;
@@ -293,8 +292,7 @@ TEST(FuPools, MemPortsLimitLoadThroughput)
     a.finalize();
 
     auto run = [&](unsigned ports) {
-        func::FuncSim sim(p);
-        ooo::OracleStream stream(sim);
+        ooo::OracleStream stream(p);
         NullBackend backend{mem::MainMemoryParams{}};
         ooo::CoreParams params;
         params.memPorts = ports;

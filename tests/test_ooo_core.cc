@@ -61,8 +61,7 @@ CoreRun
 runCore(const Program &p, const CoreParams &params,
         InstSeq max_insts = 0)
 {
-    func::FuncSim sim(p);
-    OracleStream stream(sim, max_insts);
+    OracleStream stream(p, max_insts);
     LocalBackend backend{mem::MainMemoryParams{}};
     OoOCore core(params, stream, backend);
     Cycle now = 0;

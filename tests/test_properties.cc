@@ -50,7 +50,7 @@ TEST_P(RandomProgramTest, ProtocolInvariantsHold)
         // SPSD: identical full commit everywhere, matching the
         // functional reference.
         EXPECT_EQ(r.instructions, ref.retired());
-        EXPECT_EQ(sys.oracle().output(), ref.output());
+        EXPECT_EQ(sys.output(), ref.output());
         for (NodeId n = 0; n < nodes; ++n)
             EXPECT_EQ(sys.node(n).core().committedSeq(),
                       r.instructions);

@@ -229,11 +229,6 @@ TEST(KindParsers, OptionalOverloads)
     ASSERT_TRUE(net.has_value());
     EXPECT_EQ(*net, core::InterconnectKind::Ring);
     EXPECT_FALSE(driver::parseInterconnectKind("mesh").has_value());
-
-    // The bool-out wrappers leave the out-param untouched on failure.
-    driver::SystemKind kind = driver::SystemKind::Traditional;
-    EXPECT_FALSE(driver::parseSystemKind("vector", kind));
-    EXPECT_EQ(kind, driver::SystemKind::Traditional);
 }
 
 TEST(RunOne, UnknownWorkloadIsAnError)

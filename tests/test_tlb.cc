@@ -44,8 +44,7 @@ struct CoreRunOut
 CoreRunOut
 run(const prog::Program &p, const CoreParams &params)
 {
-    func::FuncSim sim(p);
-    OracleStream stream(sim);
+    OracleStream stream(p);
     LocalBackend backend;
     OoOCore core(params, stream, backend);
     Cycle now = 0;

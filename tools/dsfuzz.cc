@@ -63,6 +63,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,6 +73,7 @@
 #include "check/oracle.hh"
 #include "check/program_gen.hh"
 #include "check/repro.hh"
+#include "common/kv.hh"
 
 using namespace dscalar;
 
@@ -148,6 +150,19 @@ usage()
         "\n              [--model-depth=D] [--mutate=NAME]"
         "\n       dsfuzz --repro=FILE\n");
     return 2;
+}
+
+/** Strict parse of an unsigned flag value: digits only, and no
+ *  larger than unsigned holds (no silent truncation). */
+bool
+parseUnsigned(const std::string &value, unsigned &out)
+{
+    std::uint64_t v = 0;
+    if (!common::kv::parseU64(value, v) ||
+        v > std::numeric_limits<unsigned>::max())
+        return false;
+    out = static_cast<unsigned>(v);
+    return true;
 }
 
 double
@@ -655,15 +670,16 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         std::string value;
+        bool ok = true; ///< false: the flag's value does not parse
         if (parseFlag(arg, "--runs", value))
-            opt.runs = std::stoull(value);
+            ok = common::kv::parseU64(value, opt.runs);
         else if (parseFlag(arg, "--seed", value))
-            opt.seed = std::stoull(value);
+            ok = common::kv::parseU64(value, opt.seed);
         else if (parseFlag(arg, "--time-budget", value))
-            opt.timeBudget = std::stod(value);
+            ok = common::kv::parseF64(value, opt.timeBudget) &&
+                 opt.timeBudget >= 0.0;
         else if (parseFlag(arg, "--configs-per-trial", value))
-            opt.configsPerTrial =
-                static_cast<unsigned>(std::stoul(value));
+            ok = parseUnsigned(value, opt.configsPerTrial);
         else if (parseFlag(arg, "--repro", value))
             opt.reproIn = value;
         else if (parseFlag(arg, "--repro-out", value))
@@ -683,7 +699,7 @@ main(int argc, char **argv)
                 return usage();
         }
         else if (parseFlag(arg, "--ngram", value))
-            opt.ngram = static_cast<unsigned>(std::stoul(value));
+            ok = parseUnsigned(value, opt.ngram);
         else if (parseFlag(arg, "--mutate", value)) {
             if (!core::parseProtocolMutation(value, opt.mutation)) {
                 std::fprintf(stderr,
@@ -695,20 +711,24 @@ main(int argc, char **argv)
         else if (arg == "--model")
             opt.model = true;
         else if (parseFlag(arg, "--model-nodes", value))
-            opt.modelNodes = static_cast<unsigned>(std::stoul(value));
+            ok = parseUnsigned(value, opt.modelNodes);
         else if (parseFlag(arg, "--model-lines", value))
-            opt.modelLines = static_cast<unsigned>(std::stoul(value));
+            ok = parseUnsigned(value, opt.modelLines);
         else if (parseFlag(arg, "--model-episodes", value))
-            opt.modelEpisodes =
-                static_cast<unsigned>(std::stoul(value));
+            ok = parseUnsigned(value, opt.modelEpisodes);
         else if (arg == "--model-faults")
             opt.modelFaults = true;
         else if (parseFlag(arg, "--model-depth", value))
-            opt.modelDepth = static_cast<unsigned>(std::stoul(value));
+            ok = parseUnsigned(value, opt.modelDepth);
         else if (arg == "--quiet")
             opt.quiet = true;
         else
             return usage();
+        if (!ok) {
+            std::fprintf(stderr, "dsfuzz: bad value in '%s'\n",
+                         arg.c_str());
+            return usage();
+        }
     }
     if (opt.ngram < 1 || opt.ngram > 8) {
         std::fprintf(stderr, "dsfuzz: --ngram must be 1..8\n");
