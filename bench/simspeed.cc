@@ -88,8 +88,8 @@ BM_FunctionalSim(benchmark::State &state)
  *  spot-reads each chunk's borrowed columns on top. Per-record
  *  decode happens during replay either way, so it belongs to
  *  neither side. The ratio is the warm-restart win the store
- *  exists for; bytes_per_record tracks the on-disk cost of the raw
- *  ({insts, 0}) and delta-compressed ({insts, 1}) layouts. */
+ *  exists for; bytes_per_record tracks the on-disk cost of the
+ *  compact layout. */
 std::string
 benchTracePath(const char *tag)
 {
@@ -126,15 +126,11 @@ BM_TraceLoadDisk(benchmark::State &state)
 {
     const prog::Program &p = compressProgram();
     InstSeq budget = static_cast<InstSeq>(state.range(0));
-    func::TraceSaveOptions save;
-    save.compressed = state.range(1) != 0;
-
-    std::string path =
-        benchTracePath(save.compressed ? "z" : "raw");
+    std::string path = benchTracePath("disk");
     auto captured = func::InstTrace::capture(p, budget);
     std::string err;
     if (!func::saveTraceFile(path, *captured, "bench",
-                             p.imageDigest(), err, save)) {
+                             p.imageDigest(), err)) {
         state.SkipWithError(err.c_str());
         return;
     }
@@ -149,15 +145,16 @@ BM_TraceLoadDisk(benchmark::State &state)
         std::uint64_t sum = 0;
         for (std::size_t ci = 0; ci < t->numChunks(); ++ci) {
             const auto &c = t->chunk(ci);
-            std::size_t last = c->size() - 1;
-            sum += c->pc[0] + c->word[last] + c->effAddr[0] +
-                   c->memSize[last] + c->nextPc[last];
+            sum += c->firstPc + c->word[c->size() - 1] +
+                   c->nonSeq[0];
         }
         benchmark::DoNotOptimize(sum);
     }
 
     func::TraceFileInfo info;
-    if (func::probeTraceFile(path, info, err) && info.records)
+    if (func::loadTraceFile(path, "bench", p.imageDigest(), err,
+                            &info) &&
+        info.records)
         state.counters["bytes_per_record"] =
             static_cast<double>(info.fileBytes) /
             static_cast<double>(info.records);
@@ -292,10 +289,7 @@ BM_SweepParallelNoReuse(benchmark::State &state)
 
 BENCHMARK(BM_FunctionalSim)->Arg(100000);
 BENCHMARK(BM_TraceCaptureCold)->Arg(100000);
-// {insts, compressed}
-BENCHMARK(BM_TraceLoadDisk)
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_TraceLoadDisk)->Arg(100000);
 // {insts, skip} / {insts, nodes, skip}
 BENCHMARK(BM_PerfectTiming)->Args({30000, 1})->Args({30000, 0});
 BENCHMARK(BM_DataScalarTiming)
@@ -386,7 +380,7 @@ BENCHMARK(BM_SmokeTraditional)->Args({2000, 2, 1})->Iterations(1);
 BENCHMARK(BM_SmokeParallelTick)->Args({2000, 4, 2})->Iterations(1);
 BENCHMARK(BM_SmokeSweepParallel)->Arg(2000)->Iterations(1);
 BENCHMARK(BM_SmokeTraceCapture)->Arg(5000)->Iterations(1);
-BENCHMARK(BM_SmokeTraceLoad)->Args({5000, 1})->Iterations(1);
+BENCHMARK(BM_SmokeTraceLoad)->Arg(5000)->Iterations(1);
 
 /**
  * Console reporter that also checks every run for forward progress:

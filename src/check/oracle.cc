@@ -421,11 +421,9 @@ Oracle::checkConfig(const prog::Program &program,
                       (unsigned long long)digest);
         std::string path = config.traceDir + leaf;
         std::string key = "fuzz/" + program.name;
-        func::TraceSaveOptions save;
-        save.compressed = (digest & 1) != 0; // cover both layouts
         std::string ferr;
         if (!func::saveTraceFile(path, *golden.trace, key, digest,
-                                 ferr, save))
+                                 ferr))
             return "trace-store save failed: " + ferr;
         std::shared_ptr<const func::InstTrace> loaded =
             func::loadTraceFile(path, key, digest, ferr);

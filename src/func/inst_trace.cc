@@ -1,40 +1,95 @@
 #include "func/inst_trace.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.hh"
 
 namespace dscalar {
 namespace func {
 
-std::size_t
-InstTrace::Chunk::bytes() const
+InstTrace::Chunk::Layout
+InstTrace::Chunk::layout(std::size_t count, std::size_t next_pcs,
+                         std::size_t eff_addrs)
 {
-    return pcStore.capacity() * sizeof(Addr) +
-           wordStore.capacity() * sizeof(std::uint32_t) +
-           effAddrStore.capacity() * sizeof(Addr) +
-           memSizeStore.capacity() * sizeof(std::uint8_t) +
-           nextPcStore.capacity() * sizeof(Addr);
+    Layout l{};
+    l.nonSeq = (count * sizeof(std::uint32_t) + 7) & ~std::size_t(7);
+    l.nextPc = l.nonSeq + (count + 63) / 64 * sizeof(std::uint64_t);
+    l.effAddr = l.nextPc + next_pcs * sizeof(Addr);
+    l.bytes = l.effAddr + eff_addrs * sizeof(Addr);
+    return l;
 }
 
 void
-InstTrace::Chunk::seal()
+InstTrace::Chunk::bind(const void *block)
 {
-    if (!pc)
-        pc = pcStore.data();
-    if (!word)
-        word = wordStore.data();
-    if (!effAddr)
-        effAddr = effAddrStore.data();
-    if (!memSize)
-        memSize = memSizeStore.data();
-    if (!nextPc)
-        nextPc = nextPcStore.data();
-    // A loader that borrows every column sets count itself; owned
-    // chunks derive it from their longest store.
-    count = std::max({count, pcStore.size(), wordStore.size(),
-                      effAddrStore.size(), memSizeStore.size(),
-                      nextPcStore.size()});
+    const auto *base = static_cast<const unsigned char *>(block);
+    Layout l = layout();
+    word = reinterpret_cast<const std::uint32_t *>(base);
+    nonSeq = reinterpret_cast<const std::uint64_t *>(base + l.nonSeq);
+    nextPc = reinterpret_cast<const Addr *>(base + l.nextPc);
+    effAddr = reinterpret_cast<const Addr *>(base + l.effAddr);
+}
+
+InstTrace::Chunk::Builder::Builder(std::size_t reserve)
+{
+    words_.reserve(reserve);
+    nonSeq_.reserve((reserve + 63) / 64);
+    nextPcs_.reserve(reserve);
+    effAddrs_.reserve(reserve);
+}
+
+const char *
+InstTrace::Chunk::Builder::append(Addr pc, std::uint32_t word,
+                                  Addr eff_addr, unsigned mem_size,
+                                  Addr next_pc)
+{
+    if (!words_.empty() && pc != expectPc_)
+        return "pc is not the previous record's nextPc";
+    unsigned width = isa::memWidth(word);
+    if (mem_size != width || (!width && eff_addr != invalidAddr))
+        return "memSize or effAddr is not what the opcode implies";
+
+    std::size_t i = words_.size();
+    if (i == 0)
+        firstPc_ = pc;
+    if (i % 64 == 0)
+        nonSeq_.push_back(0);
+    words_.push_back(word);
+    if (width)
+        effAddrs_.push_back(eff_addr);
+    if (next_pc != pc + 4) {
+        nonSeq_.back() |= std::uint64_t(1) << (i % 64);
+        nextPcs_.push_back(next_pc);
+    }
+    expectPc_ = next_pc;
+    return nullptr;
+}
+
+std::shared_ptr<const InstTrace::Chunk>
+InstTrace::Chunk::Builder::finish() const
+{
+    auto c = std::make_shared<Chunk>();
+    c->firstPc = firstPc_;
+    c->count = words_.size();
+    c->nextPcCount = nextPcs_.size();
+    c->effAddrCount = effAddrs_.size();
+    Layout l = c->layout();
+    // Value-initialised, so alignment padding is zero and a saved
+    // block is a deterministic function of the records.
+    c->owned = std::make_unique<unsigned char[]>(l.bytes);
+    unsigned char *base = c->owned.get();
+    auto put = [](unsigned char *dst, const auto &column) {
+        if (!column.empty())
+            std::memcpy(dst, column.data(),
+                        column.size() * sizeof(column[0]));
+    };
+    put(base, words_);
+    put(base + l.nonSeq, nonSeq_);
+    put(base + l.nextPc, nextPcs_);
+    put(base + l.effAddr, effAddrs_);
+    c->bind(base);
+    return c;
 }
 
 std::size_t
@@ -69,9 +124,16 @@ InstTrace::fromParts(Parts &&parts)
 {
     auto trace = std::shared_ptr<InstTrace>(new InstTrace());
     InstSeq total = 0;
-    for (const auto &c : parts.chunks) {
-        panic_if(!c || !c->pc || c->count == 0,
-                 "InstTrace::fromParts: unsealed or empty chunk");
+    for (std::size_t i = 0; i < parts.chunks.size(); ++i) {
+        const auto &c = parts.chunks[i];
+        panic_if(!c || !c->word || c->count == 0,
+                 "InstTrace::fromParts: unbound or empty chunk");
+        panic_if(i + 1 < parts.chunks.size() &&
+                     c->count != kChunkRecords,
+                 "InstTrace::fromParts: chunk %zu holds %zu records, "
+                 "not %llu",
+                 i, c->count,
+                 static_cast<unsigned long long>(kChunkRecords));
         total += c->count;
     }
     panic_if(total != parts.length,
@@ -92,32 +154,24 @@ InstTrace::captureChunk(FuncSim &sim, InstSeq first_seq,
                         InstSeq records,
                         std::vector<OutputMark> *marks)
 {
-    auto c = std::make_shared<Chunk>();
-    std::size_t reserve = static_cast<std::size_t>(records);
-    c->pcStore.reserve(reserve);
-    c->wordStore.reserve(reserve);
-    c->effAddrStore.reserve(reserve);
-    c->memSizeStore.reserve(reserve);
-    c->nextPcStore.reserve(reserve);
+    Chunk::Builder chunk(static_cast<std::size_t>(records));
     DynInst rec;
     std::size_t out_len = sim.output().size();
     for (InstSeq i = 0; i < records && sim.step(&rec); ++i) {
-        c->pcStore.push_back(rec.pc);
         // encode() round-trips through decode(), so the stored word
         // reproduces the retired instruction exactly.
-        c->wordStore.push_back(isa::encode(rec.inst));
-        c->effAddrStore.push_back(rec.effAddr);
-        c->memSizeStore.push_back(
-            static_cast<std::uint8_t>(rec.memSize));
-        c->nextPcStore.push_back(rec.nextPc);
+        const char *why =
+            chunk.append(rec.pc, isa::encode(rec.inst), rec.effAddr,
+                         rec.memSize, rec.nextPc);
+        panic_if(why, "InstTrace::captureChunk: record %llu: %s",
+                 static_cast<unsigned long long>(first_seq + i), why);
         if (marks && sim.output().size() != out_len) {
             out_len = sim.output().size();
             marks->push_back(OutputMark{
                 first_seq + i, static_cast<std::uint64_t>(out_len)});
         }
     }
-    c->seal();
-    return c;
+    return chunk.finish();
 }
 
 std::shared_ptr<const InstTrace>

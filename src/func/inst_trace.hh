@@ -5,24 +5,27 @@
  * The paper's SPSD property (Section 2) means every DataScalar node
  * — and every sweep point over the same workload — consumes the
  * *identical* dynamic stream. An InstTrace is that stream computed
- * once: a chunked structure-of-arrays record (pc, raw instruction
- * word, effective address, access size, resolved next pc; the
- * sequence number is the record's position) produced by a single
- * FuncSim run and then shared read-only between any number of
- * consumers, on any thread, via std::shared_ptr.
+ * once by a single FuncSim run and then shared read-only between any
+ * number of consumers, on any thread, via std::shared_ptr.
+ *
+ * Each 4096-record chunk stores the stream in one compact layout, the
+ * same in memory and in a trace file (func/trace_file.hh): the raw
+ * instruction words (4 B each), a bitmask with one bit per record set
+ * when nextPc != pc + 4, the nextPc of just those records, and the
+ * effAddr of just the memory ops, back to back in one 8-byte-aligned
+ * block. The first pc sits beside the block; every later pc is the
+ * previous nextPc, memSize follows from the opcode and the sequence
+ * number from the position: 5-8 B/record on the paper's workloads. A
+ * Chunk::Cursor reads the records in order.
  *
  * Chunks are individually reference counted so a consumer that has
  * advanced past a chunk can drop its reference and let the memory go
  * as soon as every other holder has too — the same
- * compute-once-and-broadcast shape the paper applies to operands.
- *
- * Each chunk exposes its columns as raw read-only pointer views.
- * A chunk produced by capture() (or a decompressing load) *owns* its
- * columns in the *Store vectors; a chunk loaded from an on-disk trace
- * file (func/trace_file.hh) may instead *borrow* them straight out of
- * a read-only file mapping, with `backing` keeping the mapping alive
- * until the last borrowed chunk is released — so loading a multi-GB
- * trace costs O(pages touched), never a copy.
+ * compute-once-and-broadcast shape the paper applies to operands. A
+ * captured chunk owns its block; a chunk loaded from a trace file
+ * borrows it straight out of a read-only file mapping, with
+ * `backing` keeping the mapping alive until the last borrowed chunk
+ * is released — so loading a multi-GB trace never copies a record.
  */
 
 #ifndef DSCALAR_FUNC_INST_TRACE_HH
@@ -46,62 +49,63 @@ class InstTrace
 {
   public:
     /** Records per chunk (power of two so record -> chunk is a
-     *  shift). 4096 records ≈ 116 KB of SoA payload per chunk. */
+     *  shift). */
     static constexpr unsigned kChunkShift = 12;
     static constexpr InstSeq kChunkRecords = InstSeq(1) << kChunkShift;
     static constexpr InstSeq kChunkMask = kChunkRecords - 1;
 
     /**
-     * Structure-of-arrays block of consecutive dynamic instructions.
-     * Element i of every column view describes record firstSeq + i;
-     * the raw word re-decodes to the retired instruction.
-     *
-     * The pointer views are the read interface. Columns filled into
-     * the *Store vectors are published through them by seal();
-     * columns borrowed from a file mapping point into `backing`.
-     * A sealed chunk is immutable.
+     * One block of consecutive dynamic instructions in the compact
+     * layout (see the file comment). The column views are the read
+     * interface; they point into `owned` for a captured chunk and
+     * into `backing`'s file mapping for a loaded one. A chunk is
+     * immutable once built.
      */
     struct Chunk
     {
-        const Addr *pc = nullptr;
-        const std::uint32_t *word = nullptr; ///< encoded instruction
-        const Addr *effAddr = nullptr;       ///< invalidAddr if not mem
-        const std::uint8_t *memSize = nullptr; ///< bytes, 0 if not mem
+        /** Byte offsets of each column inside a block; word starts
+         *  at 0 and every column starts 8-byte aligned. */
+        struct Layout
+        {
+            std::size_t nonSeq;
+            std::size_t nextPc;
+            std::size_t effAddr;
+            std::size_t bytes; ///< whole block
+        };
+        static Layout layout(std::size_t count, std::size_t next_pcs,
+                             std::size_t eff_addrs);
+
+        Addr firstPc = 0;             ///< pc of record 0
+        std::size_t count = 0;        ///< records
+        std::size_t nextPcCount = 0;  ///< set bits of nonSeq
+        std::size_t effAddrCount = 0; ///< memory-op records
+        const std::uint32_t *word = nullptr;
+        const std::uint64_t *nonSeq = nullptr; ///< bit i: record i
         const Addr *nextPc = nullptr;
-        std::size_t count = 0;
+        const Addr *effAddr = nullptr;
+
+        /** Owned block (captured chunks); null when borrowed. */
+        std::unique_ptr<unsigned char[]> owned;
+        /** Keep-alive for a block borrowed from a file mapping. */
+        std::shared_ptr<const void> backing;
 
         std::size_t size() const { return count; }
-        /** Owned heap payload; borrowed columns cost no heap. */
-        std::size_t bytes() const;
-        /** True when any column lives in a file mapping. */
+        Layout
+        layout() const
+        {
+            return layout(count, nextPcCount, effAddrCount);
+        }
+        /** Owned heap payload; a borrowed block costs no heap. */
+        std::size_t bytes() const { return owned ? layout().bytes : 0; }
+        /** True when the block lives in a file mapping. */
         bool borrowed() const { return backing != nullptr; }
 
-        /** Expand record @p i of this chunk (sequence @p seq) into
-         *  the DynInst a live FuncSim step would have produced. */
-        void
-        expand(std::size_t i, InstSeq seq, DynInst &out) const
-        {
-            out.seq = seq;
-            out.pc = pc[i];
-            out.inst = isa::decode(word[i]);
-            out.effAddr = effAddr[i];
-            out.memSize = memSize[i];
-            out.nextPc = nextPc[i];
-        }
+        /** Aim the column views at @p block, laid out by layout()
+         *  for this chunk's counts. */
+        void bind(const void *block);
 
-        /** Point every null view at its *Store vector and set count
-         *  (all owned columns must have equal length). Views already
-         *  aimed at borrowed storage are left alone. */
-        void seal();
-
-        // Owned column storage (capture, or decompressed load).
-        std::vector<Addr> pcStore;
-        std::vector<std::uint32_t> wordStore;
-        std::vector<Addr> effAddrStore;
-        std::vector<std::uint8_t> memSizeStore;
-        std::vector<Addr> nextPcStore;
-        /** Keep-alive for columns borrowed from a file mapping. */
-        std::shared_ptr<const void> backing;
+        class Cursor;
+        class Builder;
     };
 
     /** Output length watermark: after record seq retired, output()
@@ -124,10 +128,11 @@ class InstTrace
     /**
      * The one capture routine, shared by capture() and a
      * program-backed ooo::OracleStream: step @p sim for up to
-     * @p records instructions into a new sealed chunk (fewer when the
+     * @p records instructions into a new chunk (fewer when the
      * program halts inside it). With @p marks non-null, every record
      * that printed appends an OutputMark; @p first_seq is the
-     * sequence number of the chunk's first record.
+     * sequence number of the chunk's first record. Panics when a
+     * record breaks a derivation the layout relies on.
      */
     static std::shared_ptr<const Chunk>
     captureChunk(FuncSim &sim, InstSeq first_seq, InstSeq records,
@@ -144,7 +149,8 @@ class InstTrace
     };
 
     /** Reassemble a trace from loader-built parts (trace_file.cc).
-     *  Chunks must be sealed and sum to @p parts.length records. */
+     *  Every chunk but the last holds kChunkRecords records, and the
+     *  chunks sum to @p parts.length records. */
     static std::shared_ptr<const InstTrace> fromParts(Parts &&parts);
 
     /** Number of captured records. */
@@ -179,36 +185,17 @@ class InstTrace
         return chunks_[index];
     }
 
-    /** Approximate heap footprint of the SoA payload in bytes
+    /** Approximate heap footprint of the captured payload in bytes
      *  (borrowed chunks count only their bookkeeping — their pages
      *  belong to the shared file mapping). */
     std::size_t memoryBytes() const;
-
-    /** Expand record @p seq (must be < length()). */
-    void
-    expand(InstSeq seq, DynInst &out) const
-    {
-        chunks_[seq >> kChunkShift]->expand(seq & kChunkMask, seq,
-                                            out);
-    }
 
     /**
      * One in-order pass over every record:
      * fn(pc, inst, effAddr, memSize) with the hook-equivalent
      * ordering (each record's fetch precedes its data access).
      */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        InstSeq seq = 0;
-        for (const auto &c : chunks_) {
-            for (std::size_t i = 0; i < c->size(); ++i, ++seq) {
-                fn(c->pc[i], isa::decode(c->word[i]), c->effAddr[i],
-                   static_cast<unsigned>(c->memSize[i]));
-            }
-        }
-    }
+    template <typename Fn> void forEach(Fn &&fn) const;
 
   private:
     InstTrace() = default;
@@ -219,6 +206,106 @@ class InstTrace
     std::string output_;
     std::vector<OutputMark> outputMarks_;
 };
+
+/** In-order reader of one chunk's records. */
+class InstTrace::Chunk::Cursor
+{
+  public:
+    explicit Cursor(const Chunk &chunk)
+        : chunk_(chunk), pc_(chunk.firstPc)
+    {}
+
+    /** Expand the next record, numbered @p seq, into the DynInst a
+     *  live FuncSim step would have produced. */
+    void next(InstSeq seq, DynInst &out) { next(seq, &out, 1); }
+
+    /** Expand the next @p n records, numbered from @p seq, into
+     *  out[0, n). At most size() records in all. */
+    void
+    next(InstSeq seq, DynInst *out, std::size_t n)
+    {
+        // Two passes: the stream fields, then the decode. Split this
+        // way the counters below stay in registers.
+        for (std::size_t k = 0; k < n; ++k) {
+            std::size_t i = i_ + k;
+            unsigned width = isa::memWidth(chunk_.word[i]);
+            unsigned mem = width != 0;
+            unsigned jump = (chunk_.nonSeq[i >> 6] >> (i & 63)) & 1;
+            // Both sparse columns are read whether or not the record
+            // has an entry, one slot early when it has none, so the
+            // selects need no branch. Slot -1 still lies in the
+            // block: the bitmask (at least one word) precedes
+            // nextPc, which precedes effAddr.
+            Addr eff = chunk_.effAddr[std::ptrdiff_t(mem_ + mem) - 1];
+            Addr target =
+                chunk_.nextPc[std::ptrdiff_t(jump_ + jump) - 1];
+            DynInst &rec = out[k];
+            rec.seq = seq + k;
+            rec.pc = pc_;
+            rec.effAddr = mem ? eff : invalidAddr;
+            rec.memSize = width;
+            pc_ = jump ? target : pc_ + 4;
+            rec.nextPc = pc_;
+            mem_ += mem;
+            jump_ += jump;
+        }
+        for (std::size_t k = 0; k < n; ++k)
+            out[k].inst = isa::decode(chunk_.word[i_ + k]);
+        i_ += n;
+    }
+
+  private:
+    const Chunk &chunk_;
+    Addr pc_;
+    std::size_t i_ = 0;    ///< next record
+    std::size_t mem_ = 0;  ///< next effAddr entry
+    std::size_t jump_ = 0; ///< next nextPc entry
+};
+
+/** Packs records appended in order into one chunk. */
+class InstTrace::Chunk::Builder
+{
+  public:
+    explicit Builder(std::size_t reserve = 0);
+
+    /**
+     * Append one record. @return nullptr, or — appending nothing —
+     * why the layout cannot carry it: its pc is not the previous
+     * record's nextPc, or its memSize / effAddr is not what its
+     * opcode implies (the access width for memory ops; 0 and
+     * invalidAddr otherwise).
+     */
+    const char *append(Addr pc, std::uint32_t word, Addr eff_addr,
+                       unsigned mem_size, Addr next_pc);
+
+    std::size_t size() const { return words_.size(); }
+
+    /** The appended records as a chunk that owns its block. */
+    std::shared_ptr<const Chunk> finish() const;
+
+  private:
+    std::vector<std::uint32_t> words_;
+    std::vector<std::uint64_t> nonSeq_;
+    std::vector<Addr> nextPcs_;
+    std::vector<Addr> effAddrs_;
+    Addr firstPc_ = 0;
+    Addr expectPc_ = 0; ///< the last record's nextPc
+};
+
+template <typename Fn>
+void
+InstTrace::forEach(Fn &&fn) const
+{
+    InstSeq seq = 0;
+    DynInst rec;
+    for (const auto &c : chunks_) {
+        Chunk::Cursor cursor(*c);
+        for (std::size_t i = 0; i < c->size(); ++i, ++seq) {
+            cursor.next(seq, rec);
+            fn(rec.pc, rec.inst, rec.effAddr, rec.memSize);
+        }
+    }
+}
 
 } // namespace func
 } // namespace dscalar

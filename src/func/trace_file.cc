@@ -6,11 +6,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 
-#include "common/logging.hh"
+#include "isa/instruction.hh"
 
 namespace dscalar {
 namespace func {
@@ -19,8 +20,6 @@ namespace {
 
 constexpr char kMagic[8] = {'d', 's', 't', 'r', 'a', 'c', 'e', '\n'};
 constexpr std::uint32_t kEndianTag = 0x01020304;
-constexpr std::uint32_t kFlagCompressed = 1u << 0;
-constexpr unsigned kColumns = 4; ///< pc(+sentinel), word, effAddr, memSize
 
 /** Fixed file header; every multi-byte field is host (little)
  *  endian, guarded by the endian tag. */
@@ -29,8 +28,8 @@ struct RawHeader
     char magic[8];
     std::uint32_t version;
     std::uint32_t endian;
-    std::uint32_t flags;
     std::uint32_t halted;
+    std::uint32_t reserved; ///< zero
     std::uint64_t records;
     std::uint64_t imageDigest;
     std::uint64_t keyOffset;
@@ -41,27 +40,30 @@ struct RawHeader
     std::uint64_t markCount;
     std::uint64_t chunkDirOffset;
     std::uint64_t fileBytes;
-    std::uint64_t payloadChecksum;
+    std::uint64_t checksum; ///< whole file, this field read as zero
 };
 static_assert(sizeof(RawHeader) == 112, "header layout drifted");
 static_assert(sizeof(RawHeader) % 8 == 0,
-              "payload base must stay 8-aligned for borrowed columns");
+              "payload base must stay 8-aligned for borrowed blocks");
 
-/** One stored column's location (kColumns per chunk, in order). */
+/** One chunk's directory entry; its record count follows from the
+ *  header's record total. */
 struct DirEntry
 {
-    std::uint64_t offset;
-    std::uint64_t bytes;
+    std::uint64_t offset; ///< the chunk's column block
+    std::uint64_t firstPc;
+    std::uint64_t nextPcCount;
+    std::uint64_t effAddrCount;
 };
-static_assert(sizeof(DirEntry) == 16, "dir entry layout drifted");
+static_assert(sizeof(DirEntry) == 32, "dir entry layout drifted");
 
-/** Payload checksum: four interleaved FNV-1a lanes over 64-bit
- *  little-endian words (tail bytes zero-padded into a final word),
- *  folded into one value at the end. A byte-serial FNV is a strict
- *  dependency chain (~1 byte/cycle) and would dominate warm loads;
- *  word-wide independent lanes validate at memory speed. Any
- *  single-word corruption still flips its lane deterministically —
- *  (h ^ w) * prime is invertible in 2^64. */
+/** Four interleaved FNV-1a lanes over 64-bit little-endian words
+ *  (tail bytes zero-padded into a final word), folded into one value
+ *  at the end. A byte-serial FNV is a strict dependency chain (~1
+ *  byte/cycle) and would dominate warm loads; word-wide independent
+ *  lanes validate at memory speed. Any single-word corruption still
+ *  flips its lane deterministically — (h ^ w) * prime is invertible
+ *  in 2^64. */
 std::uint64_t
 fnv1a(const std::uint8_t *p, std::size_t n)
 {
@@ -94,17 +96,15 @@ fnv1a(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
+/** Checksum of a whole file: @p hdr with its checksum field zeroed,
+ *  then the @p n payload bytes at @p payload. */
 std::uint64_t
-zigzag(std::int64_t v)
+fileChecksum(RawHeader hdr, const std::uint8_t *payload, std::size_t n)
 {
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+    hdr.checksum = 0;
+    std::uint64_t h =
+        fnv1a(reinterpret_cast<const std::uint8_t *>(&hdr), sizeof(hdr));
+    return (h ^ fnv1a(payload, n)) * 1099511628211ull;
 }
 
 void
@@ -123,71 +123,19 @@ alignPayload(std::string &buf)
     return sizeof(RawHeader) + buf.size();
 }
 
-void
-appendVarint(std::string &buf, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        buf.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    buf.push_back(static_cast<char>(v));
-}
-
-bool
-readVarint(const std::uint8_t *&p, const std::uint8_t *end,
-           std::uint64_t &out)
-{
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (p != end && shift < 64) {
-        std::uint8_t b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80)) {
-            out = v;
-            return true;
-        }
-        shift += 7;
-    }
-    return false;
-}
-
-/** Append an Addr column as zigzag deltas (addresses and pcs are
- *  nearly sequential, so the varints are short). */
-void
-appendDeltaColumn(std::string &buf, const Addr *col, std::size_t n)
-{
-    Addr prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        appendVarint(buf, zigzag(static_cast<std::int64_t>(
-                              col[i] - prev)));
-        prev = col[i];
-    }
-}
-
-bool
-decodeDeltaColumn(const std::uint8_t *p, std::size_t bytes,
-                  std::size_t n, std::vector<Addr> &out)
-{
-    const std::uint8_t *end = p + bytes;
-    out.clear();
-    out.reserve(n);
-    Addr prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t zz = 0;
-        if (!readVarint(p, end, zz))
-            return false;
-        prev += static_cast<Addr>(unzigzag(zz));
-        out.push_back(prev);
-    }
-    return p == end; // a stored column must decode exactly
-}
-
 std::string
 tmpPathFor(const std::string &path)
 {
     static std::atomic<std::uint64_t> seq{0};
     return path + ".tmp." + std::to_string(::getpid()) + "." +
            std::to_string(seq.fetch_add(1));
+}
+
+std::uint64_t
+chunkCount(const RawHeader &hdr)
+{
+    return (hdr.records >> InstTrace::kChunkShift) +
+           ((hdr.records & InstTrace::kChunkMask) != 0);
 }
 
 /** Read-only whole-file mapping; unmapped when the last borrowed
@@ -204,9 +152,9 @@ struct Mapping
     }
 };
 
-/** Map @p path and run the structural header checks (magic, version,
- *  endianness, size, section ranges). @return nullptr with @p error
- *  set on the first failed check. */
+/** Map @p path and run the structural header checks (magic,
+ *  endianness, version, size, section ranges and alignment).
+ *  @return nullptr with @p error set on the first failed check. */
 std::shared_ptr<Mapping>
 mapAndValidate(const std::string &path, RawHeader &hdr,
                std::string &key, std::string &error)
@@ -269,15 +217,21 @@ mapAndValidate(const std::string &path, RawHeader &hdr,
         return off >= sizeof(RawHeader) && off <= size &&
                len <= size - off;
     };
-    std::uint64_t chunks =
-        (hdr.records + InstTrace::kChunkRecords - 1) >>
-        InstTrace::kChunkShift;
+    auto aligned_array = [&](std::uint64_t off, std::uint64_t count,
+                             std::uint64_t width) {
+        return off % 8 == 0 && count <= size / width &&
+               in_range(off, count * width);
+    };
+    if (hdr.reserved != 0) {
+        error = "malformed header";
+        return nullptr;
+    }
     if (!in_range(hdr.keyOffset, hdr.keyBytes) ||
         !in_range(hdr.outputOffset, hdr.outputBytes) ||
-        !in_range(hdr.marksOffset,
-                  hdr.markCount * sizeof(std::uint64_t) * 2) ||
-        !in_range(hdr.chunkDirOffset,
-                  chunks * kColumns * sizeof(DirEntry))) {
+        !aligned_array(hdr.marksOffset, hdr.markCount,
+                       2 * sizeof(std::uint64_t)) ||
+        !aligned_array(hdr.chunkDirOffset, chunkCount(hdr),
+                       sizeof(DirEntry))) {
         error = "section out of range";
         return nullptr;
     }
@@ -287,19 +241,43 @@ mapAndValidate(const std::string &path, RawHeader &hdr,
     return map;
 }
 
+/** The checks that make a borrowed chunk safe to replay: the sparse
+ *  columns are exactly as long as the bitmask and the memory-op words
+ *  say, and every word decodes. @return nullptr or what failed. */
+const char *
+checkColumns(const InstTrace::Chunk &c)
+{
+    std::size_t masks = (c.count + 63) / 64;
+    std::size_t jumps = 0;
+    for (std::size_t m = 0; m < masks; ++m)
+        jumps += static_cast<std::size_t>(std::popcount(c.nonSeq[m]));
+    if (c.count % 64 != 0 && (c.nonSeq[masks - 1] >> (c.count % 64)))
+        return "non-sequential bit past the last record";
+    if (jumps != c.nextPcCount)
+        return "non-sequential bitmask does not match the nextPc column";
+    std::size_t mem = 0;
+    for (std::size_t i = 0; i < c.count; ++i) {
+        if (!isa::validWord(c.word[i]))
+            return "invalid instruction word";
+        mem += isa::memWidth(c.word[i]) != 0;
+    }
+    if (mem != c.effAddrCount)
+        return "memory-op count does not match the effAddr column";
+    return nullptr;
+}
+
 } // namespace
 
 bool
 saveTraceFile(const std::string &path, const InstTrace &trace,
               const std::string &key, std::uint64_t image_digest,
-              std::string &error, const TraceSaveOptions &opts)
+              std::string &error)
 {
     RawHeader hdr;
     std::memset(&hdr, 0, sizeof(hdr));
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
     hdr.version = kTraceFileVersion;
     hdr.endian = kEndianTag;
-    hdr.flags = opts.compressed ? kFlagCompressed : 0;
     hdr.halted = trace.programHalted() ? 1 : 0;
     hdr.records = trace.length();
     hdr.imageDigest = image_digest;
@@ -321,61 +299,23 @@ saveTraceFile(const std::string &path, const InstTrace &trace,
         appendRaw(buf, &m.bytes, sizeof(m.bytes));
     }
 
+    // Each chunk's block is stored verbatim: the file layout is the
+    // memory layout, so a load can borrow it without decoding.
     std::vector<DirEntry> dir;
-    dir.reserve(trace.numChunks() * kColumns);
-    auto raw_column = [&](const void *data, std::size_t bytes) {
-        DirEntry e{alignPayload(buf), bytes};
-        appendRaw(buf, data, bytes);
-        dir.push_back(e);
-    };
-    // The dynamic stream is sequential — record i+1 executes at
-    // record i's nextPc — so no nextPc column is stored. Each chunk's
-    // pc column carries n+1 entries (the sentinel is the last
-    // record's nextPc) and the loader aliases nextPc = pc + 1,
-    // saving 8 bytes/record. The invariant is verified here so a
-    // round trip can never silently rewrite a stream violating it.
-    std::vector<Addr> pc_scratch;
+    dir.reserve(trace.numChunks());
     for (std::size_t ci = 0; ci < trace.numChunks(); ++ci) {
         const InstTrace::Chunk &c = *trace.chunk(ci);
-        std::size_t n = c.size();
-        for (std::size_t i = 0; i + 1 < n; ++i) {
-            if (c.nextPc[i] != c.pc[i + 1]) {
-                error = "trace stream is not sequential; cannot "
-                        "share the pc column";
-                return false;
-            }
-        }
-        if (opts.compressed) {
-            pc_scratch.assign(c.pc, c.pc + n);
-            pc_scratch.push_back(c.nextPc[n - 1]);
-            DirEntry e{alignPayload(buf), 0};
-            appendDeltaColumn(buf, pc_scratch.data(), n + 1);
-            e.bytes = sizeof(RawHeader) + buf.size() - e.offset;
-            dir.push_back(e);
-        } else {
-            DirEntry e{alignPayload(buf), (n + 1) * sizeof(Addr)};
-            appendRaw(buf, c.pc, n * sizeof(Addr));
-            appendRaw(buf, &c.nextPc[n - 1], sizeof(Addr));
-            dir.push_back(e);
-        }
-        raw_column(c.word, n * sizeof(std::uint32_t));
-        if (opts.compressed) {
-            DirEntry e{alignPayload(buf), 0};
-            appendDeltaColumn(buf, c.effAddr, n);
-            e.bytes = sizeof(RawHeader) + buf.size() - e.offset;
-            dir.push_back(e);
-        } else {
-            raw_column(c.effAddr, n * sizeof(Addr));
-        }
-        raw_column(c.memSize, n * sizeof(std::uint8_t));
+        dir.push_back(DirEntry{alignPayload(buf), c.firstPc,
+                               c.nextPcCount, c.effAddrCount});
+        appendRaw(buf, c.word, c.layout().bytes);
     }
 
     hdr.chunkDirOffset = alignPayload(buf);
     appendRaw(buf, dir.data(), dir.size() * sizeof(DirEntry));
 
     hdr.fileBytes = sizeof(RawHeader) + buf.size();
-    hdr.payloadChecksum = fnv1a(
-        reinterpret_cast<const std::uint8_t *>(buf.data()),
+    hdr.checksum = fileChecksum(
+        hdr, reinterpret_cast<const std::uint8_t *>(buf.data()),
         buf.size());
 
     std::string tmp = tmpPathFor(path);
@@ -426,18 +366,13 @@ loadTraceFile(const std::string &path, const std::string &expect_key,
             return nullptr;
         }
     }
-    if (fnv1a(map->base + sizeof(RawHeader),
-              map->len - sizeof(RawHeader)) != hdr.payloadChecksum) {
-        error = "payload checksum mismatch";
+    if (fileChecksum(hdr, map->base + sizeof(RawHeader),
+                     map->len - sizeof(RawHeader)) != hdr.checksum) {
+        error = "checksum mismatch";
         return nullptr;
     }
 
-    bool compressed = (hdr.flags & kFlagCompressed) != 0;
-    std::uint64_t num_chunks =
-        (hdr.records + InstTrace::kChunkRecords - 1) >>
-        InstTrace::kChunkShift;
-    const auto *dir = reinterpret_cast<const DirEntry *>(
-        map->base + hdr.chunkDirOffset);
+    std::uint64_t num_chunks = chunkCount(hdr);
     std::uint64_t payload_bytes = 0;
 
     InstTrace::Parts parts;
@@ -465,103 +400,36 @@ loadTraceFile(const std::string &path, const std::string &expect_key,
 
     parts.chunks.reserve(num_chunks);
     for (std::uint64_t ci = 0; ci < num_chunks; ++ci) {
-        std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(InstTrace::kChunkRecords,
-                                    hdr.records -
-                                        (ci
-                                         << InstTrace::kChunkShift)));
-        const DirEntry *e = dir + ci * kColumns;
+        DirEntry e{};
+        std::memcpy(&e, map->base + hdr.chunkDirOffset + ci * sizeof(e),
+                    sizeof(e));
         auto chunk = std::make_shared<InstTrace::Chunk>();
+        chunk->count = static_cast<std::size_t>(std::min<std::uint64_t>(
+            InstTrace::kChunkRecords,
+            hdr.records - (ci << InstTrace::kChunkShift)));
+        chunk->firstPc = e.firstPc;
+        chunk->nextPcCount = static_cast<std::size_t>(e.nextPcCount);
+        chunk->effAddrCount = static_cast<std::size_t>(e.effAddrCount);
+        std::size_t bytes = chunk->layout().bytes;
+        if (e.nextPcCount > chunk->count ||
+            e.effAddrCount > chunk->count || e.offset % 8 != 0 ||
+            e.offset < sizeof(RawHeader) || e.offset > map->len ||
+            bytes > map->len - e.offset) {
+            error = "chunk " + std::to_string(ci) + " out of range";
+            return nullptr;
+        }
+        chunk->bind(map->base + e.offset);
+        if (const char *why = checkColumns(*chunk)) {
+            error = "chunk " + std::to_string(ci) + ": " + why;
+            return nullptr;
+        }
         chunk->backing = map;
-
-        // Validate one column and either borrow it from the mapping
-        // (raw) or leave the view null for the decoder to fill.
-        auto column = [&](const DirEntry &d, std::size_t width,
-                          const void *&view) -> bool {
-            if (d.offset < sizeof(RawHeader) ||
-                d.offset > map->len ||
-                d.bytes > map->len - d.offset) {
-                error = "column out of range";
-                return false;
-            }
-            payload_bytes += d.bytes;
-            if (width) { // raw fixed-width column
-                if (d.bytes != n * width || d.offset % 8 != 0) {
-                    error = "malformed column";
-                    return false;
-                }
-                view = map->base + d.offset;
-            }
-            return true;
-        };
-        auto addr_column = [&](const DirEntry &d, const Addr *&view,
-                               std::vector<Addr> &store) -> bool {
-            const void *raw = nullptr;
-            if (!column(d, compressed ? 0 : sizeof(Addr), raw))
-                return false;
-            if (!compressed) {
-                view = static_cast<const Addr *>(raw);
-                return true;
-            }
-            if (!decodeDeltaColumn(map->base + d.offset,
-                                   static_cast<std::size_t>(d.bytes),
-                                   n, store)) {
-                error = "corrupt delta column";
-                return false;
-            }
-            return true;
-        };
-
-        // The pc column carries n+1 entries — the sentinel is the
-        // last record's nextPc — and the sequential-stream invariant
-        // the saver verified makes nextPc a one-record-shifted view
-        // of the same storage.
-        const DirEntry &dpc = e[0];
-        if (dpc.offset < sizeof(RawHeader) || dpc.offset > map->len ||
-            dpc.bytes > map->len - dpc.offset) {
-            error = "column out of range";
-            return nullptr;
-        }
-        payload_bytes += dpc.bytes;
-        if (!compressed) {
-            if (dpc.bytes != (n + 1) * sizeof(Addr) ||
-                dpc.offset % 8 != 0) {
-                error = "malformed column";
-                return nullptr;
-            }
-            chunk->pc = reinterpret_cast<const Addr *>(map->base +
-                                                       dpc.offset);
-        } else {
-            if (!decodeDeltaColumn(
-                    map->base + dpc.offset,
-                    static_cast<std::size_t>(dpc.bytes), n + 1,
-                    chunk->pcStore)) {
-                error = "corrupt delta column";
-                return nullptr;
-            }
-            chunk->pc = chunk->pcStore.data();
-        }
-        chunk->nextPc = chunk->pc + 1;
-
-        const void *word_view = nullptr;
-        const void *size_view = nullptr;
-        if (!column(e[1], sizeof(std::uint32_t), word_view) ||
-            !addr_column(e[2], chunk->effAddr, chunk->effAddrStore) ||
-            !column(e[3], sizeof(std::uint8_t), size_view))
-            return nullptr;
-        chunk->word = static_cast<const std::uint32_t *>(word_view);
-        chunk->memSize = static_cast<const std::uint8_t *>(size_view);
-        chunk->seal();
-        // After seal: the pc store holds n+1 entries, so the owned-
-        // store maximum overshoots by the sentinel; the record count
-        // is authoritative here.
-        chunk->count = n;
+        payload_bytes += bytes;
         parts.chunks.push_back(std::move(chunk));
     }
 
     if (info) {
         info->version = hdr.version;
-        info->compressed = compressed;
         info->records = hdr.records;
         info->halted = hdr.halted != 0;
         info->imageDigest = hdr.imageDigest;
@@ -571,36 +439,6 @@ loadTraceFile(const std::string &path, const std::string &expect_key,
     }
     error.clear();
     return InstTrace::fromParts(std::move(parts));
-}
-
-bool
-probeTraceFile(const std::string &path, TraceFileInfo &info,
-               std::string &error)
-{
-    RawHeader hdr;
-    std::string key;
-    std::shared_ptr<Mapping> map =
-        mapAndValidate(path, hdr, key, error);
-    if (!map)
-        return false;
-    std::uint64_t chunks =
-        (hdr.records + InstTrace::kChunkRecords - 1) >>
-        InstTrace::kChunkShift;
-    const auto *dir = reinterpret_cast<const DirEntry *>(
-        map->base + hdr.chunkDirOffset);
-    std::uint64_t payload_bytes = 0;
-    for (std::uint64_t i = 0; i < chunks * kColumns; ++i)
-        payload_bytes += dir[i].bytes;
-    info.version = hdr.version;
-    info.compressed = (hdr.flags & kFlagCompressed) != 0;
-    info.records = hdr.records;
-    info.halted = hdr.halted != 0;
-    info.imageDigest = hdr.imageDigest;
-    info.key = key;
-    info.fileBytes = hdr.fileBytes;
-    info.payloadBytes = payload_bytes;
-    error.clear();
-    return true;
 }
 
 } // namespace func

@@ -5,32 +5,22 @@
  *
  * A trace file is one fixed little-endian header followed by a
  * payload: the workload key string, the captured syscall output, the
- * output watermarks, the SoA column data of every 4096-record chunk,
- * and a chunk directory locating each stored column. The header
- * carries magic, format version, the program's image digest, the
- * record count, and a word-wide four-lane FNV-1a checksum over the
- * whole payload (memory-speed to validate), so a loader can reject
- * truncated, corrupted, stale, or foreign files before trusting a
- * byte of them.
+ * output watermarks, every 4096-record chunk's column block, and a
+ * chunk directory. Each block is stored exactly as it sits in memory
+ * (the compact layout of func/inst_trace.hh: raw words, the
+ * non-sequential bitmask, the sparse nextPc and effAddr columns) at
+ * an 8-byte-aligned offset; its directory entry holds the block's
+ * offset, the chunk's first pc and the two sparse column lengths.
  *
- * No nextPc column is stored: the dynamic stream is sequential
- * (record i+1 executes at record i's nextPc — verified at save
- * time), so each chunk's pc column carries n+1 entries, the sentinel
- * being the last record's nextPc, and the loader aliases
- * nextPc = pc + 1. That is 8 bytes/record the file never pays.
- *
- * Two storage modes per file:
- *  - raw: every column is stored as its native fixed-width array at
- *    an 8-byte-aligned offset. loadTraceFile() then mmaps the file
- *    read-only and *borrows* the columns straight out of the mapping
- *    (InstTrace::Chunk::backing keeps it alive), so loading a
- *    multi-GB trace is O(pages touched) and replay never copies a
- *    record.
- *  - compressed: the pc and effAddr columns are stored as
- *    zigzag-delta varints (they are nearly sequential, so this is
- *    ~3-4x smaller); the word and memSize columns stay raw and
- *    borrowed. The delta columns are decoded into owned chunk
- *    storage at load time.
+ * loadTraceFile() mmaps the file read-only and *borrows* every block
+ * straight out of the mapping (InstTrace::Chunk::backing keeps it
+ * alive), so loading a multi-GB trace never copies a record. Before
+ * trusting a byte it checks magic, format version, the program's
+ * image digest, the size, and a word-wide four-lane FNV-1a checksum
+ * over the whole file; before borrowing a chunk it checks that the
+ * bitmask's popcount and the count of memory-op words match the
+ * sparse column lengths and that every word decodes, so no file can
+ * make a replay read past a column or abort in isa::decode().
  *
  * Writes are atomic: the file is assembled next to its final path as
  * `<path>.tmp.<pid>.<n>` and rename()d into place, so concurrent
@@ -51,25 +41,18 @@ namespace dscalar {
 namespace func {
 
 /** Current trace file format version (header field). */
-constexpr std::uint32_t kTraceFileVersion = 1;
+constexpr std::uint32_t kTraceFileVersion = 2;
 
-/** Parsed header summary, for tools, benches, and tests. */
+/** Header summary of a loaded file, for benches and tests. */
 struct TraceFileInfo
 {
     std::uint32_t version = 0;
-    bool compressed = false;
     std::uint64_t records = 0;
     bool halted = false;
     std::uint64_t imageDigest = 0;
     std::string key;
     std::uint64_t fileBytes = 0;    ///< total file size
     std::uint64_t payloadBytes = 0; ///< stored column bytes only
-};
-
-struct TraceSaveOptions
-{
-    /** Store pc/effAddr/nextPc as zigzag-delta varint columns. */
-    bool compressed = false;
 };
 
 /**
@@ -81,14 +64,13 @@ struct TraceSaveOptions
  */
 bool saveTraceFile(const std::string &path, const InstTrace &trace,
                    const std::string &key, std::uint64_t image_digest,
-                   std::string &error,
-                   const TraceSaveOptions &opts = {});
+                   std::string &error);
 
 /**
  * mmap @p path and rebuild its InstTrace, validating magic, version,
- * endianness, total size, payload checksum, and — unless
- * @p expect_key is empty — that the stored key and image digest match
- * @p expect_key / @p expect_digest exactly.
+ * endianness, total size, file checksum, every chunk's columns, and —
+ * unless @p expect_key is empty — that the stored key and image
+ * digest match @p expect_key / @p expect_digest exactly.
  *
  * @return the trace, or nullptr with @p error describing the first
  * check that failed (callers fall back to a fresh capture). On
@@ -98,12 +80,6 @@ std::shared_ptr<const InstTrace>
 loadTraceFile(const std::string &path, const std::string &expect_key,
               std::uint64_t expect_digest, std::string &error,
               TraceFileInfo *info = nullptr);
-
-/** Read and validate only the header (no payload checksum scan).
- *  @return false with @p error set when the file is unreadable or
- *  structurally invalid. */
-bool probeTraceFile(const std::string &path, TraceFileInfo &info,
-                    std::string &error);
 
 } // namespace func
 } // namespace dscalar

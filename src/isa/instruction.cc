@@ -1,8 +1,5 @@
 #include "isa/instruction.hh"
 
-#include "common/bitutils.hh"
-#include "common/logging.hh"
-
 namespace dscalar {
 namespace isa {
 
@@ -53,70 +50,6 @@ encode(const Instruction &inst)
         break;
     }
     return w;
-}
-
-Instruction
-decode(std::uint32_t word)
-{
-    auto opval = bits(word, 31, 26);
-    panic_if(opval >= static_cast<std::uint64_t>(Opcode::NUM_OPCODES),
-             "decode: bad opcode field %llu in %08x",
-             static_cast<unsigned long long>(opval), word);
-
-    Instruction inst;
-    inst.op = static_cast<Opcode>(opval);
-    auto a = static_cast<RegIndex>(bits(word, 25, 21));
-    auto b = static_cast<RegIndex>(bits(word, 20, 16));
-    auto c = static_cast<RegIndex>(bits(word, 15, 11));
-    auto imm16s = static_cast<std::int32_t>(sext(bits(word, 15, 0), 16));
-    auto imm16u = static_cast<std::int32_t>(bits(word, 15, 0));
-
-    switch (inst.info().format) {
-      case Format::None:
-        break;
-      case Format::RRR:
-        inst.rd = a;
-        inst.rs = b;
-        inst.rt = c;
-        break;
-      case Format::RRI:
-        inst.rd = a;
-        inst.rs = b;
-        // Logical immediates are zero-extended, arithmetic ones
-        // sign-extended (MIPS convention).
-        inst.imm = (inst.op == Opcode::ANDI || inst.op == Opcode::ORI ||
-                    inst.op == Opcode::XORI)
-                       ? imm16u
-                       : imm16s;
-        break;
-      case Format::RI:
-        inst.rd = a;
-        inst.imm = imm16u;
-        break;
-      case Format::Mem:
-        if (inst.isLoad())
-            inst.rd = a;
-        else
-            inst.rt = a;
-        inst.rs = b;
-        inst.imm = imm16s;
-        break;
-      case Format::Branch:
-        inst.rs = a;
-        inst.rt = b;
-        inst.imm = imm16s;
-        break;
-      case Format::Jump:
-        inst.imm = static_cast<std::int32_t>(bits(word, 25, 0));
-        break;
-      case Format::JumpReg:
-        inst.rs = a;
-        break;
-      case Format::Sys:
-        inst.imm = imm16u;
-        break;
-    }
-    return inst;
 }
 
 std::string

@@ -15,9 +15,12 @@
 #ifndef DSCALAR_ISA_INSTRUCTION_HH
 #define DSCALAR_ISA_INSTRUCTION_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
+#include "common/bitutils.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/opcodes.hh"
 
@@ -35,19 +38,19 @@ struct Instruction
 
     const OpInfo &info() const { return opInfo(op); }
 
-    bool
+    constexpr bool
     isLoad() const
     {
         return op == Opcode::LW || op == Opcode::LD ||
                op == Opcode::LBU;
     }
-    bool
+    constexpr bool
     isStore() const
     {
         return op == Opcode::SW || op == Opcode::SD ||
                op == Opcode::SB;
     }
-    bool isMem() const { return isLoad() || isStore(); }
+    constexpr bool isMem() const { return isLoad() || isStore(); }
     bool
     isCtrl() const
     {
@@ -63,7 +66,7 @@ struct Instruction
     bool isHalt() const { return op == Opcode::HALT; }
 
     /** Access width in bytes for memory operations. */
-    unsigned
+    constexpr unsigned
     memSize() const
     {
         if (op == Opcode::LD || op == Opcode::SD)
@@ -147,8 +150,96 @@ struct Instruction
 /** Encode @p inst into a 32-bit instruction word. */
 std::uint32_t encode(const Instruction &inst);
 
-/** Decode a 32-bit instruction word; panics on a bad opcode field. */
-Instruction decode(std::uint32_t word);
+/** True when decode() accepts @p word: its opcode field names an
+ *  opcode. The non-panicking check for words from untrusted input. */
+constexpr bool
+validWord(std::uint32_t word)
+{
+    return (word >> 26) <
+           static_cast<std::uint32_t>(Opcode::NUM_OPCODES);
+}
+
+/** Decode a 32-bit instruction word; panics on a bad opcode field.
+ *  Inline: trace replay decodes every record it expands. */
+inline Instruction
+decode(std::uint32_t word)
+{
+    panic_if(!validWord(word), "decode: bad opcode field %u in %08x",
+             word >> 26, word);
+
+    Instruction inst;
+    inst.op = static_cast<Opcode>(word >> 26);
+    auto a = static_cast<RegIndex>(bits(word, 25, 21));
+    auto b = static_cast<RegIndex>(bits(word, 20, 16));
+    auto c = static_cast<RegIndex>(bits(word, 15, 11));
+    auto imm16s = static_cast<std::int32_t>(sext(bits(word, 15, 0), 16));
+    auto imm16u = static_cast<std::int32_t>(bits(word, 15, 0));
+
+    switch (inst.info().format) {
+      case Format::None:
+        break;
+      case Format::RRR:
+        inst.rd = a;
+        inst.rs = b;
+        inst.rt = c;
+        break;
+      case Format::RRI:
+        inst.rd = a;
+        inst.rs = b;
+        // Logical immediates are zero-extended, arithmetic ones
+        // sign-extended (MIPS convention).
+        inst.imm = (inst.op == Opcode::ANDI || inst.op == Opcode::ORI ||
+                    inst.op == Opcode::XORI)
+                       ? imm16u
+                       : imm16s;
+        break;
+      case Format::RI:
+        inst.rd = a;
+        inst.imm = imm16u;
+        break;
+      case Format::Mem:
+        if (inst.isLoad())
+            inst.rd = a;
+        else
+            inst.rt = a;
+        inst.rs = b;
+        inst.imm = imm16s;
+        break;
+      case Format::Branch:
+        inst.rs = a;
+        inst.rt = b;
+        inst.imm = imm16s;
+        break;
+      case Format::Jump:
+        inst.imm = static_cast<std::int32_t>(bits(word, 25, 0));
+        break;
+      case Format::JumpReg:
+        inst.rs = a;
+        break;
+      case Format::Sys:
+        inst.imm = imm16u;
+        break;
+    }
+    return inst;
+}
+
+/** Access width in bytes of the load or store @p word encodes; 0
+ *  for every other word, invalid ones included. One table lookup. */
+inline unsigned
+memWidth(std::uint32_t word)
+{
+    static constexpr auto kWidth = [] {
+        std::array<std::uint8_t, 64> width{};
+        for (unsigned op = 0; op < width.size(); ++op) {
+            Instruction inst;
+            inst.op = static_cast<Opcode>(op);
+            if (validWord(op << 26) && inst.isMem())
+                width[op] = static_cast<std::uint8_t>(inst.memSize());
+        }
+        return width;
+    }();
+    return kWidth[word >> 26];
+}
 
 /** Human-readable rendering, e.g.\ "addi r4, r4, 8". */
 std::string disassemble(const Instruction &inst);

@@ -76,10 +76,12 @@ OracleStream::extend(InstSeq seq)
         }
         std::size_t n = static_cast<std::size_t>(chunk_end - limit_);
         const func::InstTrace::Chunk &src = *sourceChunks_[ci];
-        std::vector<func::DynInst> &dst = chunks_.emplace_back();
-        dst.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            src.expand(i, limit_ + i, dst.emplace_back());
+        // Reuse the last trimmed chunk's buffer: every record in it
+        // is overwritten, so it needs no fresh allocation or fill.
+        std::vector<func::DynInst> &dst =
+            chunks_.emplace_back(std::move(spare_));
+        dst.resize(n);
+        func::InstTrace::Chunk::Cursor(src).next(limit_, dst.data(), n);
         limit_ = chunk_end;
         if (limit_ == sourceEnd_ && sourceHalts_) {
             // The halt record is buffered: the end is known.
@@ -97,6 +99,7 @@ OracleStream::trim(InstSeq min_seq)
     while (!chunks_.empty() &&
            chunks_.front().size() == kChunkRecords &&
            chunkStart_ + kChunkRecords <= min_seq) {
+        spare_ = std::move(chunks_.front());
         chunks_.pop_front();
         sourceChunks_[static_cast<std::size_t>(chunkStart_ >>
                                                kChunkShift)]

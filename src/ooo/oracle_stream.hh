@@ -151,6 +151,8 @@ class OracleStream
     /** Buffered records: chunks_[0] starts at chunkStart_ (always a
      *  chunk multiple); only the last chunk may be partial. */
     std::deque<std::vector<func::DynInst>> chunks_;
+    /** The last trimmed chunk's buffer, refilled by the next extend. */
+    std::vector<func::DynInst> spare_;
     InstSeq chunkStart_ = 0;
     InstSeq limit_ = 0; ///< one past the highest buffered record
     bool ended_ = false;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/distribution.hh"
 #include "driver/driver.hh"
 #include "func/inst_trace.hh"
@@ -63,18 +65,87 @@ TEST(InstTrace, CaptureMatchesLiveExecution)
     // Every captured record must round-trip to exactly what a fresh
     // functional run produces, field by field.
     FuncSim sim(p);
-    for (InstSeq seq = 0; seq < trace->length(); ++seq) {
-        DynInst live;
-        ASSERT_TRUE(sim.step(&live));
-        DynInst replayed;
-        trace->expand(seq, replayed);
-        ASSERT_EQ(replayed.seq, live.seq);
-        ASSERT_EQ(replayed.pc, live.pc);
-        ASSERT_EQ(isa::encode(replayed.inst), isa::encode(live.inst));
-        ASSERT_EQ(replayed.effAddr, live.effAddr);
-        ASSERT_EQ(replayed.memSize, live.memSize);
-        ASSERT_EQ(replayed.nextPc, live.nextPc);
+    InstSeq seq = 0;
+    for (std::size_t ci = 0; ci < trace->numChunks(); ++ci) {
+        const InstTrace::Chunk &chunk = *trace->chunk(ci);
+        InstTrace::Chunk::Cursor cursor(chunk);
+        for (std::size_t i = 0; i < chunk.size(); ++i, ++seq) {
+            DynInst live;
+            ASSERT_TRUE(sim.step(&live));
+            DynInst replayed;
+            cursor.next(seq, replayed);
+            ASSERT_EQ(replayed.seq, live.seq);
+            ASSERT_EQ(replayed.pc, live.pc);
+            ASSERT_EQ(isa::encode(replayed.inst),
+                      isa::encode(live.inst));
+            ASSERT_EQ(replayed.effAddr, live.effAddr);
+            ASSERT_EQ(replayed.memSize, live.memSize);
+            ASSERT_EQ(replayed.nextPc, live.nextPc);
+        }
     }
+    EXPECT_EQ(seq, trace->length());
+}
+
+TEST(InstTrace, CompactLayoutStaysUnderEightBytesPerRecord)
+{
+    // Memory ops and taken control transfers are the only records
+    // that cost more than their 4-byte word; on the Figure 7
+    // workloads that keeps a capture at or below 8 B/record.
+    for (const std::string &name : workloads::timingWorkloadNames()) {
+        prog::Program p = workloads::findWorkload(name).build(1);
+        auto trace = InstTrace::capture(p, 100000);
+        ASSERT_GT(trace->length(), 0u) << name;
+        double per_record = static_cast<double>(trace->memoryBytes()) /
+                            static_cast<double>(trace->length());
+        EXPECT_LE(per_record, 8.0) << name;
+    }
+}
+
+TEST(InstTrace, BuilderRejectsUnderivableRecords)
+{
+    // The layout derives a record's pc from the previous nextPc and
+    // its memSize/effAddr from the opcode; a record that disagrees
+    // cannot be stored and must be refused, not silently rewritten.
+    const std::uint32_t nop = isa::encode(isa::Instruction{});
+    isa::Instruction lw_inst;
+    lw_inst.op = isa::Opcode::LW;
+    const std::uint32_t lw = isa::encode(lw_inst);
+
+    InstTrace::Chunk::Builder b;
+    ASSERT_EQ(b.append(0x1000, nop, invalidAddr, 0, 0x2000), nullptr);
+    const char *why = b.append(0x1004, nop, invalidAddr, 0, 0x1008);
+    ASSERT_NE(why, nullptr);
+    EXPECT_NE(std::string(why).find("previous record's nextPc"),
+              std::string::npos);
+    // A load of the wrong width, a non-memory op with an address,
+    // and a non-memory op with a width.
+    for (auto [word, eff, size] :
+         {std::tuple{lw, Addr(0x8000), 8u},
+          std::tuple{nop, Addr(0x8000), 0u},
+          std::tuple{nop, invalidAddr, 4u}}) {
+        why = b.append(0x2000, word, eff, size, 0x2004);
+        ASSERT_NE(why, nullptr);
+        EXPECT_NE(std::string(why).find("opcode implies"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(b.size(), 1u) << "a refused record must not be appended";
+
+    ASSERT_EQ(b.append(0x2000, lw, 0x8000, 4, 0x2004), nullptr);
+    auto chunk = b.finish();
+    ASSERT_EQ(chunk->size(), 2u);
+    EXPECT_EQ(chunk->nextPcCount, 1u);
+    EXPECT_EQ(chunk->effAddrCount, 1u);
+    InstTrace::Chunk::Cursor cursor(*chunk);
+    DynInst rec;
+    cursor.next(0, rec);
+    EXPECT_EQ(rec.pc, 0x1000u);
+    EXPECT_EQ(rec.nextPc, 0x2000u);
+    EXPECT_EQ(rec.effAddr, invalidAddr);
+    cursor.next(1, rec);
+    EXPECT_EQ(rec.pc, 0x2000u);
+    EXPECT_EQ(rec.nextPc, 0x2004u);
+    EXPECT_EQ(rec.effAddr, 0x8000u);
+    EXPECT_EQ(rec.memSize, 4u);
 }
 
 TEST(InstTrace, RecordsHaltAndLength)
