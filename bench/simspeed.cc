@@ -214,28 +214,6 @@ BM_TraditionalTiming(benchmark::State &state)
         state.range(0));
 }
 
-/** Serial vs conservative-window parallel ticking of ONE simulation
- *  ({insts, nodes, tickThreads}); results are byte-identical
- *  (tests/test_parallel_tick.cc), so any delta is pure simulator
- *  speed. The stall-dominated timing workload is the intended
- *  regime: wide windows, little cross-node traffic per cycle. */
-void
-BM_ParallelTickTiming(benchmark::State &state)
-{
-    const prog::Program &p = timingProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = static_cast<InstSeq>(state.range(0));
-    cfg.numNodes = static_cast<unsigned>(state.range(1));
-    cfg.tickThreads = static_cast<unsigned>(state.range(2));
-    for (auto _ : state) {
-        auto r = driver::runDataScalar(p, cfg);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        state.range(0));
-}
-
 /** The Figure 7 sweep (2 workloads to keep runtime sane) at a given
  *  worker count; items = simulated instructions across all points.
  *  @p reuse toggles the shared-trace capture (the *NoReuse twins
@@ -302,17 +280,6 @@ BENCHMARK(BM_TraditionalTiming)
     ->Args({30000, 2, 0})
     ->Args({30000, 4, 1})
     ->Args({30000, 4, 0});
-// {insts, nodes, tickThreads}: each node count with its serial twin.
-BENCHMARK(BM_ParallelTickTiming)
-    ->Args({30000, 2, 1})
-    ->Args({30000, 2, 2})
-    ->Args({30000, 4, 1})
-    ->Args({30000, 4, 4})
-    ->Args({30000, 8, 1})
-    ->Args({30000, 8, 4})
-    ->Args({30000, 16, 1})
-    ->Args({30000, 16, 4})
-    ->UseRealTime(); // node workers run off-thread
 BENCHMARK(BM_SweepSerial)->Arg(15000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepSerialNoReuse)
     ->Arg(15000)
@@ -350,11 +317,6 @@ BM_SmokeTraditional(benchmark::State &state)
     BM_TraditionalTiming(state);
 }
 void
-BM_SmokeParallelTick(benchmark::State &state)
-{
-    BM_ParallelTickTiming(state);
-}
-void
 BM_SmokeSweepParallel(benchmark::State &state)
 {
     sweepBody(state, 4);
@@ -377,7 +339,6 @@ BENCHMARK(BM_SmokeDataScalar)
     ->Args({2000, 2, 0})
     ->Iterations(1);
 BENCHMARK(BM_SmokeTraditional)->Args({2000, 2, 1})->Iterations(1);
-BENCHMARK(BM_SmokeParallelTick)->Args({2000, 4, 2})->Iterations(1);
 BENCHMARK(BM_SmokeSweepParallel)->Arg(2000)->Iterations(1);
 BENCHMARK(BM_SmokeTraceCapture)->Arg(5000)->Iterations(1);
 BENCHMARK(BM_SmokeTraceLoad)->Arg(5000)->Iterations(1);

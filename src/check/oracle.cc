@@ -239,8 +239,6 @@ describeConfig(const TrialConfig &c)
        << "way" << (c.writeAllocate ? "/wa" : "")
        << " ed=" << (c.eventDriven ? 1 : 0)
        << " xed=" << (c.crossEventDriven ? 1 : 0)
-       << " tt=" << c.tickThreads
-       << " xtt=" << (c.crossTickThreads ? 1 : 0)
        << " xreplay=" << (c.crossReplay ? 1 : 0)
        << " faults=" << (c.faults ? 1 : 0)
        << " hardbshr=" << (c.hardBshr ? 1 : 0)
@@ -265,7 +263,6 @@ toSimConfig(const TrialConfig &c)
     cfg.core.dcache.assoc = c.dcacheAssoc;
     cfg.core.dcache.writeAllocate = c.writeAllocate;
     cfg.eventDriven = c.eventDriven;
-    cfg.tickThreads = c.tickThreads;
     cfg.maxInsts = c.maxInsts;
     cfg.bshrCapacity = c.bshrCapacity;
     if (c.faults) {
@@ -346,12 +343,12 @@ Oracle::sampleConfig(Random &rng) const
     bool diskReplay = rng.chance(0.25);
     if (diskReplay && !options_.traceDir.empty())
         c.traceDir = options_.traceDir;
-    // Parallel ticking only changes anything on a multi-node
-    // DataScalar run, but sampling it everywhere also exercises the
-    // resolve-to-serial paths of the baselines.
+    // The draws that once picked a tick-thread count and its
+    // serial/parallel differential are still made and discarded, so
+    // a seed keeps exploring the configs it explored before.
     if (rng.chance(0.3))
-        c.tickThreads = 2 + static_cast<unsigned>(rng.below(3));
-    c.crossTickThreads = rng.chance(0.25);
+        rng.below(3);
+    rng.chance(0.25);
 
     if (ds) {
         c.faults = rng.chance(0.25);
@@ -458,22 +455,6 @@ Oracle::checkConfig(const prog::Program &program,
             return fail(other, err);
     }
 
-    if (config.crossTickThreads) {
-        core::SimConfig flipped = cfg;
-        flipped.tickThreads = cfg.tickThreads > 1 ? 1 : 4;
-        ++stats_.timingRuns;
-        RunOutcome other = run(flipped, nullptr);
-        if (!other.invariantError.empty())
-            return fail(other,
-                        "flipped tick-thread count: " +
-                            other.invariantError);
-        err = compareOutcomes(live, other,
-                              cfg.tickThreads > 1
-                                  ? "parallel vs serial tick loop"
-                                  : "serial vs parallel tick loop");
-        if (!err.empty())
-            return fail(other, err);
-    }
     return "";
 }
 

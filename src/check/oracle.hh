@@ -6,8 +6,8 @@
  * golden architectural model (captured as a func::InstTrace), then
  * through a sampled matrix of timing configurations — system family
  * × node count × interconnect × cache geometry × event-driven
- * on/off × tick-thread count × trace replay on/off × fault
- * injection / hard BSHR capacity on/off — and every run is checked
+ * on/off × trace replay on/off × fault injection / hard BSHR
+ * capacity on/off — and every run is checked
  * against the golden stream and the protocol invariants:
  *
  *  - SPSD: every run retires exactly the golden instruction count
@@ -23,9 +23,9 @@
  *  - Cache correspondence: canonical load misses, commit-time store
  *    misses, and dirty write-backs identical on every node.
  *  - Differential cross-checks: a trace-replay run must be
- *    cycle-and-stats identical to the live run, an event-driven
- *    run identical to the single-stepping run, and a parallel-tick
- *    run identical to the serial loop, for the same config.
+ *    cycle-and-stats identical to the live run, and an
+ *    event-driven run identical to the single-stepping run, for the
+ *    same config.
  *
  * On failure the harness (tools/dsfuzz.cc) shrinks the generation
  * parameters to a minimal still-failing case and writes a repro
@@ -71,12 +71,6 @@ struct TrialConfig
     /** Also run the opposite run-loop mode and require identical
      *  cycles / stats. */
     bool crossEventDriven = false;
-    /** Intra-simulation tick threads (SimConfig::tickThreads);
-     *  1 = the serial loop. */
-    unsigned tickThreads = 1;
-    /** Also run with the serial/parallel tick loop flipped and
-     *  require identical cycles / output / stats. */
-    bool crossTickThreads = false;
     /** Also replay the golden trace through the same config and
      *  require identical cycles / output / stats. */
     bool crossReplay = false;

@@ -60,8 +60,6 @@ formatRepro(const ReproCase &r)
     emit(os, "write_allocate", c.writeAllocate ? 1 : 0);
     emit(os, "event_driven", c.eventDriven ? 1 : 0);
     emit(os, "cross_event_driven", c.crossEventDriven ? 1 : 0);
-    emit(os, "tick_threads", c.tickThreads);
-    emit(os, "cross_tick_threads", c.crossTickThreads ? 1 : 0);
     emit(os, "cross_replay", c.crossReplay ? 1 : 0);
     emit(os, "faults", c.faults ? 1 : 0);
     emit(os, "hard_bshr", c.hardBshr ? 1 : 0);
@@ -70,8 +68,8 @@ formatRepro(const ReproCase &r)
     emit(os, "max_insts", c.maxInsts);
     emit(os, "fault_seed", c.faultSeed);
     emit(os, "trace_dir", c.traceDir);
-    // Only mutation-sensitivity repros carry this key, so ordinary
-    // repro files stay byte-identical to the v1 layout.
+    // Only mutation-sensitivity repros carry this key; ordinary
+    // repro files omit it.
     if (c.mutation != core::ProtocolMutation::None)
         emit(os, "mutation", core::protocolMutationName(c.mutation));
 
@@ -194,10 +192,6 @@ parseRepro(std::istream &in, ReproCase &out, std::string &error)
             r.config.eventDriven = v != 0;
         else if (key == "cross_event_driven")
             r.config.crossEventDriven = v != 0;
-        else if (key == "tick_threads")
-            r.config.tickThreads = u();
-        else if (key == "cross_tick_threads")
-            r.config.crossTickThreads = v != 0;
         else if (key == "cross_replay")
             r.config.crossReplay = v != 0;
         else if (key == "faults")

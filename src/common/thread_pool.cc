@@ -1,7 +1,6 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.hh"
 
@@ -49,33 +48,6 @@ ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &f)
-{
-    if (n == 0)
-        return;
-    if (n == 1 || numThreads() <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            f(i);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::size_t fanout = std::min<std::size_t>(numThreads(), n);
-    for (std::size_t t = 0; t < fanout; ++t) {
-        submit([&next, &f, n] {
-            for (;;) {
-                std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                f(i);
-            }
-        });
-    }
-    wait();
 }
 
 void

@@ -44,18 +44,6 @@ class ThreadPool
     /** Block until every submitted task has run to completion. */
     void wait();
 
-    /**
-     * Run f(0), ..., f(n-1) on this pool's workers and block until
-     * all complete (wait() doubles as the barrier). Indices are
-     * handed out through a shared atomic counter, so at most
-     * min(numThreads(), n) tasks are queued regardless of n. Unlike
-     * the free parallelFor(), no threads are created per call —
-     * this is the primitive for per-window fan-out inside a single
-     * simulation, where the call happens millions of times.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &f);
-
     unsigned
     numThreads() const
     {

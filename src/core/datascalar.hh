@@ -28,19 +28,17 @@ namespace core {
 /**
  * A multi-node DataScalar timing simulation.
  *
- * With SimConfig::tickThreads resolved above 1 the nodes tick
- * concurrently in conservative windows bounded by the minimum
- * cross-node delivery latency; results — cycle counts, stats,
- * retirement output, trace-event streams, sampler timelines — are
- * byte-identical to the serial loop (see docs/PERF.md and
- * tests/test_parallel_tick.cc).
+ * One run loop ticks the nodes in node order each simulated cycle and
+ * skips cycles in which no core, delivery or re-request can act.
+ * Parallelism lives across simulations (driver::runMany, `--jobs`),
+ * not inside one: a window the nodes could tick apart is no wider
+ * than the minimum cross-node latency, too short to pay for a thread
+ * barrier (measurements in docs/PERF.md).
  *
  * Trace sinks receive per-node, core disparity, and fault events.
  * Sampler columns: per-node commit rate / BSHR occupancy / DCUB
  * depth, bus occupancy, and the leading node. Profiler phases:
- * serial loop delivery / recovery / tick / bookkeeping; parallel
- * loop setup / delivery / oracle_extend / tick / barrier /
- * bookkeeping.
+ * delivery / recovery / tick / bookkeeping.
  */
 class DataScalarSystem : public TimingSystem, public BroadcastPort
 {
@@ -118,16 +116,7 @@ class DataScalarSystem : public TimingSystem, public BroadcastPort
         }
     };
 
-    /** Per-run state of the parallel (windowed) loop; see the .cc. */
-    struct ParallelWindow;
-
-    /** Serial loop, or the parallel one when tickThreads resolves
-     *  above 1. */
     LoopEnd runLoop() override;
-    /** The serial run loop (tickThreads <= 1). */
-    LoopEnd runSerial();
-    /** Conservative-window parallel loop on @p threads workers. */
-    LoopEnd runParallel(unsigned threads);
     void attachTraceSink(TraceSink *sink) override;
     void addSamplerColumns(obs::Sampler &sampler) override;
     void buildStats(stats::Snapshot &snap,
@@ -136,10 +125,6 @@ class DataScalarSystem : public TimingSystem, public BroadcastPort
      *  for watchdogCycles up to @p now. */
     [[noreturn]] void watchdogFire(Cycle now, InstSeq min_commit,
                                    bool all_done) const;
-    /** Serial transmit path of broadcast(): puts the message on the
-     *  interconnect immediately and enqueues its deliveries. */
-    void broadcastNow(NodeId src, Addr line, interconnect::MsgKind kind,
-                      Cycle ready);
 
     mem::PageTable ptable_;
     interconnect::Bus bus_;
@@ -151,11 +136,6 @@ class DataScalarSystem : public TimingSystem, public BroadcastPort
                         std::greater<Delivery>>
         deliveries_;
     std::uint64_t deliveryOrder_ = 0;
-    /** Non-null only while worker threads are inside a parallel
-     *  window: broadcast() then buffers the send per source node
-     *  instead of transmitting, and the barrier replays the buffers
-     *  in the serial loop's order. */
-    ParallelWindow *pwin_ = nullptr;
 };
 
 } // namespace core

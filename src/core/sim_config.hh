@@ -92,18 +92,6 @@ struct SimConfig
      * single-cycle-stepping loop. See docs/PERF.md.
      */
     bool eventDriven = true;
-    /**
-     * Worker threads ticking nodes concurrently inside one
-     * simulation (conservative-window PDES; see docs/PERF.md).
-     * 1 = today's serial run loop, verbatim. 0 = hardware
-     * concurrency clamped to the node count. Values > 1 tick all
-     * nodes in bounded windows no wider than the minimum cross-node
-     * delivery latency, exchanging interconnect messages only at
-     * window barriers; dumpStats(), the retirement output, and
-     * sampler timelines are byte-identical to the serial loop at
-     * any thread count (asserted by test_parallel_tick).
-     */
-    unsigned tickThreads = 1;
 };
 
 /** Aggregate outcome of one timing run. */

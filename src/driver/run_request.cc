@@ -152,8 +152,8 @@ applyRunRequestKey(RunRequest &req, const std::string &key,
     if (!kv::parseU64(value, v)) {
         if (key == "scale" || key == "nodes" || key == "max_insts" ||
             key == "block_pages" || key == "event_driven" ||
-            key == "tick_threads" || key == "fault_max_delay" ||
-            key == "fault_seed" || key == "rerequest_timeout" ||
+            key == "fault_max_delay" || key == "fault_seed" ||
+            key == "rerequest_timeout" ||
             key == "bshr_hard" || key == "bshr_capacity" ||
             key == "trace_reuse" || key == "sample_interval" ||
             key == "profile")
@@ -178,11 +178,7 @@ applyRunRequestKey(RunRequest &req, const std::string &key,
         req.config.maxInsts = v;
     else if (key == "event_driven")
         req.config.eventDriven = v != 0;
-    else if (key == "tick_threads") {
-        if (v > 256)
-            return bad("a thread count in 0..256");
-        req.config.tickThreads = u();
-    } else if (key == "fault_max_delay")
+    else if (key == "fault_max_delay")
         req.config.fault.maxDelay = v;
     else if (key == "fault_seed")
         req.config.fault.seed = v;
@@ -270,7 +266,6 @@ formatRunRequest(const RunRequest &req)
     kv::emit(os, "block_pages", std::uint64_t(req.blockPages));
     kv::emit(os, "event_driven",
              std::uint64_t(req.config.eventDriven ? 1 : 0));
-    kv::emit(os, "tick_threads", std::uint64_t(req.config.tickThreads));
     kv::emit(os, "fault_drop", req.config.fault.dropProb);
     kv::emit(os, "fault_dup", req.config.fault.dupProb);
     kv::emit(os, "fault_delay", req.config.fault.delayProb);
@@ -308,7 +303,9 @@ runMeta(const RunRequest &req)
     meta.add("max_insts", std::uint64_t(req.config.maxInsts));
     meta.add("event_driven",
              std::uint64_t(req.config.eventDriven ? 1 : 0));
-    meta.add("tick_threads", std::uint64_t(req.config.tickThreads));
+    // Constant: a run is single-threaded. The line stays so every
+    // exported stats JSON keeps its layout.
+    meta.add("tick_threads", std::uint64_t(1));
     if (req.sampleInterval)
         meta.add("sample_interval", std::uint64_t(req.sampleInterval));
     if (req.profile)
@@ -424,6 +421,17 @@ runOne(const RunRequest &req, TraceCache *cache)
 {
     RunResponse resp;
     resp.meta = runMeta(req);
+
+    // A hard BSHR drops broadcasts at a full bank, and only re-request
+    // recovery brings them back. DataScalarSystem refuses the pair as
+    // a fatal config error; refuse it here, as a value, so one request
+    // cannot end the process that serves it.
+    if (req.system == SystemKind::DataScalar &&
+        req.config.bshrHardCapacity && req.config.rerequestTimeout == 0) {
+        resp.error = "bshr_hard needs re-request recovery "
+                     "(rerequest_timeout > 0)";
+        return resp;
+    }
 
     // Request spans: an external recorder (the serving path's), or a
     // private one when only the profile group was asked for. The

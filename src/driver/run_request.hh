@@ -84,10 +84,10 @@ struct RunRequest
     SystemKind system = SystemKind::DataScalar; ///< key `system`
     /** Full simulator configuration. Parsing writes the serialized
      *  keys (`nodes`, `interconnect`, `max_insts`, `event_driven`,
-     *  `tick_threads`, `fault_*`, `rerequest_timeout`, `bshr_hard`,
-     *  `bshr_capacity`) into it on top of paperConfig(); unlisted
-     *  SimConfig fields keep the paper defaults and can be adjusted
-     *  directly by library callers (fig8-style parameter studies). */
+     *  `fault_*`, `rerequest_timeout`, `bshr_hard`, `bshr_capacity`)
+     *  into it on top of paperConfig(); unlisted SimConfig fields
+     *  keep the paper defaults and can be adjusted directly by
+     *  library callers (fig8-style parameter studies). */
     core::SimConfig config = paperConfig();
     unsigned blockPages = 1; ///< page-distribution block size
                              ///  (key `block_pages`)

@@ -63,17 +63,6 @@ class Sampler
 
     Cycle interval() const { return interval_; }
 
-    /** Earliest cycle whose advance() would emit a row. Windowed run
-     *  loops cap their window just past this so a nominal sample
-     *  cycle never falls strictly inside a window — keeping the
-     *  partition of rows into advance() calls, and therefore every
-     *  Delta column, identical to the serial loop's. */
-    Cycle
-    nextSampleCycle() const
-    {
-        return started_ ? lastEmitted_ + interval_ : 0;
-    }
-
     std::size_t sampleCount() const { return cycles_.size(); }
     const std::vector<Cycle> &cycles() const { return cycles_; }
 

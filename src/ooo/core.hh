@@ -142,12 +142,6 @@ class OoOCore
     /** Next sequence number to commit (== instructions committed). */
     InstSeq committedSeq() const { return nextCommitSeq_; }
 
-    /** Next sequence number to fetch; with CoreParams::fetchWidth it
-     *  bounds the stream probes one tick can make (the parallel run
-     *  loop pre-extends the OracleStream past that bound so worker
-     *  threads only ever hit its read-only path). */
-    InstSeq fetchSeq() const { return nextFetchSeq_; }
-
     /**
      * A deferred line fill (broadcast) arrived; data usable at
      * @p ready_at. Must correspond to a pending DCUB entry.

@@ -192,6 +192,30 @@ TEST(DsServe, MalformedRequestRejectedConnectionSurvives)
     server.stop();
 }
 
+TEST(DsServe, HardBshrWithoutRecoveryRejectedServerSurvives)
+{
+    serve::Server server(testConfig("t_dss_bshr.sock"));
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    serve::Client client = connectTo("t_dss_bshr.sock");
+
+    // DataScalarSystem's constructor refuses this block with fatal();
+    // the daemon must answer it as an error and keep serving.
+    driver::RunRequest req = smallRequest("go_s", 1000);
+    req.config.numNodes = 4;
+    req.config.bshrHardCapacity = true;
+    req.config.rerequestTimeout = 0;
+    req.rerequestTimeoutSet = true;
+    serve::Reply reply = client.run(req);
+    EXPECT_FALSE(reply.ok);
+    EXPECT_NE(reply.error.find("rerequest_timeout"), std::string::npos)
+        << reply.error;
+
+    EXPECT_TRUE(client.ping().ok);
+    server.stop();
+}
+
 TEST(DsServe, OversizedRequestDropsConnection)
 {
     serve::ServerConfig cfg = testConfig("t_dss_big.sock");

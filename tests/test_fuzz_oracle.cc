@@ -272,8 +272,6 @@ TEST(FuzzRepro, FormatParseRoundTrip)
     r.config.dcacheAssoc = 2;
     r.config.writeAllocate = true;
     r.config.eventDriven = false;
-    r.config.tickThreads = 3;
-    r.config.crossTickThreads = true;
     r.config.crossReplay = true;
     r.config.faults = true;
     r.config.bshrCapacity = 16;
@@ -298,8 +296,6 @@ TEST(FuzzRepro, FormatParseRoundTrip)
     EXPECT_EQ(back.config.dcacheAssoc, r.config.dcacheAssoc);
     EXPECT_TRUE(back.config.writeAllocate);
     EXPECT_FALSE(back.config.eventDriven);
-    EXPECT_EQ(back.config.tickThreads, 3u);
-    EXPECT_TRUE(back.config.crossTickThreads);
     EXPECT_TRUE(back.config.crossReplay);
     EXPECT_TRUE(back.config.faults);
     EXPECT_EQ(back.config.bshrCapacity, 16u);

@@ -233,13 +233,12 @@ TEST(ProfileGroup, SchemaAndValues)
 // --- determinism contract -----------------------------------------
 
 driver::RunRequest
-timingRequest(unsigned tickThreads = 1)
+timingRequest()
 {
     driver::RunRequest req;
     req.workload = "go_s";
     req.system = driver::SystemKind::DataScalar;
     req.config.maxInsts = 2000;
-    req.config.tickThreads = tickThreads;
     req.flightRecorder = true;
     return req;
 }
@@ -393,21 +392,6 @@ TEST(PhaseProfile, SerialPhasesSumToTotal)
     EXPECT_NE(resp.statsJson().find("phase_tick_us"),
               std::string::npos);
     EXPECT_NE(resp.statsJson().find("phase_delivery_us"),
-              std::string::npos);
-}
-
-TEST(PhaseProfile, ParallelPhasesSumToTotal)
-{
-    driver::RunRequest req = timingRequest(2);
-    req.profile = true;
-    req.config.maxInsts = 5000;
-    req.config.numNodes = 4;
-    driver::RunResponse resp = driver::runOne(req);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    checkPhaseSum(resp.statsJson(), "parallel datascalar");
-    EXPECT_NE(resp.statsJson().find("phase_barrier_us"),
-              std::string::npos);
-    EXPECT_NE(resp.statsJson().find("phase_setup_us"),
               std::string::npos);
 }
 

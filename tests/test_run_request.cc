@@ -65,7 +65,6 @@ nonDefaultRequest()
     req.config.interconnect = core::InterconnectKind::Ring;
     req.config.maxInsts = 5000;
     req.config.eventDriven = false;
-    req.config.tickThreads = 2;
     req.config.fault.dropProb = 0.05;
     req.config.fault.dupProb = 0.25;
     req.config.fault.delayProb = 0.125;
@@ -102,7 +101,6 @@ TEST(RunRequestFormat, ParseIsExactInverse)
     EXPECT_EQ(parsed.config.interconnect, core::InterconnectKind::Ring);
     EXPECT_EQ(parsed.config.maxInsts, 5000u);
     EXPECT_FALSE(parsed.config.eventDriven);
-    EXPECT_EQ(parsed.config.tickThreads, 2u);
     EXPECT_EQ(parsed.config.fault.dropProb, 0.05);
     EXPECT_EQ(parsed.config.fault.maxDelay, 7u);
     EXPECT_EQ(parsed.config.rerequestTimeout, 1234u);
@@ -170,10 +168,15 @@ TEST(RunRequestParse, Errors)
     EXPECT_FALSE(driver::parseRunRequest(empty, req, error));
     EXPECT_NE(error.find("empty request"), std::string::npos) << error;
 
-    std::istringstream unknown("workload = go_s\nbogus = 1\n\n");
-    EXPECT_FALSE(driver::parseRunRequest(unknown, req, error));
-    EXPECT_NE(error.find("unknown key 'bogus'"), std::string::npos)
-        << error;
+    // `tick_threads` named the removed per-node parallel loop.
+    for (const char *key : {"bogus", "tick_threads"}) {
+        std::istringstream unknown("workload = go_s\n" +
+                                   std::string(key) + " = 1\n\n");
+        EXPECT_FALSE(driver::parseRunRequest(unknown, req, error));
+        EXPECT_NE(error.find("unknown key '" + std::string(key) + "'"),
+                  std::string::npos)
+            << error;
+    }
 
     std::istringstream badsys("system = vector\n\n");
     EXPECT_FALSE(driver::parseRunRequest(badsys, req, error));
@@ -238,6 +241,23 @@ TEST(RunOne, UnknownWorkloadIsAnError)
     driver::RunResponse resp = driver::runOne(req);
     EXPECT_FALSE(resp.ok());
     EXPECT_NE(resp.error.find("unknown workload"), std::string::npos)
+        << resp.error;
+}
+
+TEST(RunOne, HardBshrWithoutRecoveryIsAnError)
+{
+    // A hard BSHR with recovery explicitly off is a config the
+    // DataScalar constructor refuses; runOne returns it as a value.
+    std::istringstream in("workload = go_s\nsystem = datascalar\n"
+                          "bshr_hard = 1\nrerequest_timeout = 0\n"
+                          "max_insts = 1000\n\n");
+    driver::RunRequest req;
+    std::string error;
+    ASSERT_TRUE(driver::parseRunRequest(in, req, error)) << error;
+    ASSERT_EQ(req.config.rerequestTimeout, 0u);
+    driver::RunResponse resp = driver::runOne(req);
+    EXPECT_FALSE(resp.ok());
+    EXPECT_NE(resp.error.find("rerequest_timeout"), std::string::npos)
         << resp.error;
 }
 

@@ -70,50 +70,6 @@ TEST(ParallelFor, ZeroJobsMeansHardwareConcurrency)
         EXPECT_EQ(h, 1);
 }
 
-TEST(MemberParallelFor, CoversEveryIndexExactlyOnce)
-{
-    common::ThreadPool pool(4);
-    for (int rep = 0; rep < 3; ++rep) {
-        std::vector<int> hits(131, 0);
-        pool.parallelFor(hits.size(),
-                         [&](std::size_t i) { ++hits[i]; });
-        for (std::size_t i = 0; i < hits.size(); ++i)
-            ASSERT_EQ(hits[i], 1) << "rep=" << rep << " i=" << i;
-    }
-}
-
-TEST(MemberParallelFor, DegenerateShapesRunInline)
-{
-    common::ThreadPool pool(1);
-    int calls = 0;
-    pool.parallelFor(0, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 0);
-    // n == 1 and single-thread pools run on the calling thread.
-    pool.parallelFor(5, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 5);
-
-    common::ThreadPool wide(8);
-    std::atomic<int> par{0};
-    wide.parallelFor(1, [&](std::size_t) { ++par; });
-    EXPECT_EQ(par.load(), 1);
-}
-
-TEST(MemberParallelFor, ActsAsBarrier)
-{
-    common::ThreadPool pool(4);
-    std::vector<int> data(64, 0);
-    // Each round reads the previous round's writes: the return of
-    // parallelFor must establish happens-before for all iterations.
-    for (int round = 1; round <= 5; ++round) {
-        pool.parallelFor(data.size(), [&](std::size_t i) {
-            EXPECT_EQ(data[i], round - 1);
-            data[i] = round;
-        });
-    }
-    for (int v : data)
-        EXPECT_EQ(v, 5);
-}
-
 /** The satellite requirement: a parallel Figure 7 sweep must be
  *  byte-identical to the serial one, run after run. */
 TEST(SweepDeterminism, ParallelMatchesSerialByteForByte)

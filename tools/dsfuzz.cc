@@ -485,7 +485,6 @@ mutateConfig(check::TrialConfig c, Random &rng)
     c.system = driver::SystemKind::DataScalar;
     c.crossReplay = false;
     c.crossEventDriven = false;
-    c.crossTickThreads = false;
     c.traceDir.clear();
     switch (rng.below(8)) {
       case 0:

@@ -17,12 +17,8 @@
  *   --max-insts=N      truncate the run (default: completion)
  *   --scale=N          workload build scale (registered workloads)
  *   --block-pages=N    round-robin distribution block (default 1)
- *   --jobs=N           sweep worker threads (default 1; 0 = all cores)
- *   --tick-threads=N   tick nodes of ONE simulation on N threads in
- *                      conservative windows; byte-identical results
- *                      (default 1 = serial; 0 = all cores, clamped
- *                      to the node count). Composes with --jobs: a
- *                      sweep runs jobs × tick-threads workers.
+ *   --jobs=N           sweep worker threads (default 1; 0 = all cores);
+ *                      each simulation runs on one thread
  *   --no-skip          disable event-driven cycle skipping
  *   --stats            print the full statistics dump
  *   --stats-json=FILE  write run metadata + every stat as JSON
@@ -91,7 +87,6 @@ usage()
         "usage: dsrun [--system=func|perfect|traditional|datascalar]"
         "\n             [--nodes=N] [--ring] [--max-insts=N]"
         "\n             [--scale=N] [--block-pages=N] [--jobs=N]"
-        "\n             [--tick-threads=N]"
         "\n             [--no-skip] [--stats] [--stats-json=FILE|-]"
         "\n             [--sample-interval=N] [--profile]"
         "\n             [--perfetto=FILE|-]"
