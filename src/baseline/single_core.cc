@@ -55,7 +55,7 @@ SingleCoreSystem::runLoop()
     }
     if (prof_)
         prof_->lap(ph_tick);
-    return {now, loop_ticks};
+    return {now, loop_ticks, {}};
 }
 
 void

@@ -150,6 +150,10 @@ struct OracleStats
     std::uint64_t trials = 0;
     std::uint64_t configsChecked = 0;
     std::uint64_t timingRuns = 0;
+    /** Configs whose run ended in an expected failure (an owner
+     *  unreachable after every re-request): not findings, and not
+     *  checked further. */
+    std::uint64_t expectedFailures = 0;
 };
 
 /** Matrix sampling / checking knobs. */

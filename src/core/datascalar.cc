@@ -132,8 +132,15 @@ DataScalarSystem::runLoop()
             prof_->lap(ph_delivery);
 
         if (recoveryActive_) {
-            for (auto &node : nodes_)
-                node->checkRecovery(now);
+            for (auto &node : nodes_) {
+                if (!node->checkRecovery(now)) {
+                    // An unreachable owner: the run cannot finish,
+                    // and says so as a value.
+                    if (prof_)
+                        prof_->lap(ph_recovery);
+                    return {now + 1, loop_ticks, node->failure()};
+                }
+            }
         }
         if (prof_)
             prof_->lap(ph_recovery);
@@ -204,7 +211,7 @@ DataScalarSystem::runLoop()
             prof_->lap(ph_book);
     }
 
-    return {now + 1, loop_ticks};
+    return {now + 1, loop_ticks, {}};
 }
 
 void

@@ -64,8 +64,9 @@ DataScalarNode::startLineFetch(Addr line, Cycle now)
         // Arm recovery: if no broadcast lands within the timeout,
         // re-request the line from its owner. An existing entry keeps
         // its (earlier) deadline.
-        rerequests_.emplace(line,
-                            RetryState{0, now + rerequestTimeout_});
+        Cycle deadline = now + rerequestTimeout_;
+        if (rerequests_.emplace(line, RetryState{0, deadline}).second)
+            nextDue_ = std::min(nextDue_, deadline);
     }
     return {cycleMax, false};
 }
@@ -171,23 +172,29 @@ DataScalarNode::recoverySettle(Addr line, Cycle now)
     auto it = rerequests_.find(line);
     if (it == rerequests_.end())
         return;
+    Cycle was = it->second.nextAt;
     if (bshr_.waiterCount(line) > 0) {
         // Data flowed but more waiters remain (e.g.\ a duplicate miss
         // episode): restart the clock with a clean attempt count.
         it->second = RetryState{0, now + rerequestTimeout_};
+        nextDue_ = std::min(nextDue_, it->second.nextAt);
     } else {
         rerequests_.erase(it);
     }
+    // Only a move away from the earliest deadline can raise it.
+    if (was == nextDue_)
+        reindexRecovery();
 }
 
-void
-DataScalarNode::checkRecovery(Cycle now)
+bool
+DataScalarNode::scanRecovery(Cycle now)
 {
-    if (rerequestTimeout_ == 0)
-        return;
+    Cycle soonest = cycleMax;
     for (auto &[line, st] : rerequests_) {
-        if (st.nextAt > now)
+        if (st.nextAt > now) {
+            soonest = std::min(soonest, st.nextAt);
             continue;
+        }
         if (bshr_.waiterCount(line) == 0) {
             // Waiter satisfied through another path (e.g.\ buffered
             // hit); the entry is swept here rather than erased
@@ -195,10 +202,17 @@ DataScalarNode::checkRecovery(Cycle now)
             st.nextAt = cycleMax;
             continue;
         }
-        panic_if(st.attempts >= maxRetries_,
-                 "node %u: line 0x%llx still missing after %u "
-                 "re-requests -- owner unreachable?",
-                 id_, (unsigned long long)line, st.attempts);
+        if (st.attempts >= maxRetries_) {
+            // An expected outcome of a hopeless config (a lossy
+            // medium, or a timeout too short for hard-BSHR flow
+            // control), not a broken invariant: end the run.
+            failure_ = csprintf("node %u: line 0x%llx still missing "
+                                "after %u re-requests -- owner "
+                                "unreachable",
+                                id_, (unsigned long long)line,
+                                st.attempts);
+            return false;
+        }
         ++stats_.rerequestsSent;
         traceEvent(now, TraceEventKind::Rerequest, line);
         port_.broadcast(id_, line, MsgKind::Rerequest, now);
@@ -209,16 +223,18 @@ DataScalarNode::checkRecovery(Cycle now)
              ++i)
             backoff *= 2;
         st.nextAt = now + std::min(backoff, backoffCap_);
+        soonest = std::min(soonest, st.nextAt);
     }
+    nextDue_ = soonest;
+    return true;
 }
 
-Cycle
-DataScalarNode::nextRecoveryCycle() const
+void
+DataScalarNode::reindexRecovery()
 {
-    Cycle soonest = cycleMax;
+    nextDue_ = cycleMax;
     for (const auto &[line, st] : rerequests_)
-        soonest = std::min(soonest, st.nextAt);
-    return soonest;
+        nextDue_ = std::min(nextDue_, st.nextAt);
 }
 
 void

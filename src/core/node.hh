@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <string>
 
 #include "common/trace.hh"
 #include "core/bshr.hh"
@@ -87,13 +88,25 @@ class DataScalarNode : public ooo::MemBackend
     /**
      * Re-request recovery scan: every armed line whose deadline has
      * passed sends MsgKind::Rerequest to its owner and backs off
-     * exponentially. No-op unless rerequestTimeout > 0.
+     * exponentially. No-op unless rerequestTimeout > 0, and a single
+     * compare until the earliest deadline comes due.
+     * @return false once a line is still missing after
+     * rerequestMaxRetries re-requests: its owner is unreachable and
+     * the run cannot finish; failure() names the node, line and
+     * attempt count.
      */
-    void checkRecovery(Cycle now);
+    bool
+    checkRecovery(Cycle now)
+    {
+        return now < nextDue_ || scanRecovery(now);
+    }
 
     /** Earliest cycle checkRecovery could act, or cycleMax — feeds
      *  the event-driven run loop's skip horizon. */
-    Cycle nextRecoveryCycle() const;
+    Cycle nextRecoveryCycle() const { return nextDue_; }
+
+    /** Why checkRecovery returned false ("" while it has not). */
+    const std::string &failure() const { return failure_; }
 
     /** Emit typed protocol events to @p sink; nullptr disables. */
     void setTraceSink(TraceSink *sink);
@@ -132,6 +145,11 @@ class DataScalarNode : public ooo::MemBackend
     void traceEvent(Cycle now, TraceEventKind kind, Addr line) const;
     /** Arm or clear retry tracking after data for @p line arrived. */
     void recoverySettle(Addr line, Cycle now);
+    /** checkRecovery once a deadline is due: one pass over the
+     *  armed lines in ascending line order. */
+    bool scanRecovery(Cycle now);
+    /** Recompute nextDue_ from rerequests_. */
+    void reindexRecovery();
 
     NodeId id_;
     const mem::PageTable &ptable_;
@@ -150,6 +168,12 @@ class DataScalarNode : public ooo::MemBackend
     /** Armed re-requests by line; ordered so scan order (and thus
      *  interconnect call order) is deterministic. */
     std::map<Addr, RetryState> rerequests_;
+    /** The earliest nextAt in rerequests_ (cycleMax when none is
+     *  armed), kept exact on every change so the run loop's
+     *  per-tick checks cost one compare. */
+    Cycle nextDue_ = cycleMax;
+    /** Set when a line's owner proved unreachable. */
+    std::string failure_;
 };
 
 } // namespace core

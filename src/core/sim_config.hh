@@ -9,6 +9,7 @@
 #define DSCALAR_CORE_SIM_CONFIG_HH
 
 #include <memory>
+#include <string>
 
 #include "common/types.hh"
 #include "interconnect/bus.hh"
@@ -108,6 +109,10 @@ struct RunResult
      *  renders as text via Snapshot::dump or JSON via
      *  stats::JsonWriter. */
     std::shared_ptr<const stats::Snapshot> stats;
+    /** Non-empty when the run ended early in an expected failure
+     *  (an unreachable owner after rerequestMaxRetries re-requests);
+     *  the numbers above then describe an unfinished run. */
+    std::string error;
 };
 
 } // namespace core

@@ -34,6 +34,7 @@ TimingSystem::run()
     RunResult result;
     result.cycles = end.cycles;
     result.loopTicks = end.loopTicks;
+    result.error = std::move(end.error);
     result.instructions = stream_.endSeq();
     result.ipc = result.cycles
                      ? static_cast<double>(result.instructions) /

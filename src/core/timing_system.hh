@@ -41,8 +41,9 @@ class TimingSystem
     TimingSystem(const TimingSystem &) = delete;
     TimingSystem &operator=(const TimingSystem &) = delete;
 
-    /** Run to completion (or the configured instruction budget).
-     *  A system runs once. */
+    /** Run to completion (or the configured instruction budget),
+     *  or until the run proves hopeless (RunResult::error). A system
+     *  runs once. */
     RunResult run();
 
     /** Program output (Print* syscalls) of the executed prefix. */
@@ -96,6 +97,7 @@ class TimingSystem
     {
         Cycle cycles = 0;           ///< RunResult::cycles
         std::uint64_t loopTicks = 0; ///< RunResult::loopTicks
+        std::string error;          ///< RunResult::error
     };
 
     /** The system's run loop. Profiler phases registered inside it

@@ -323,7 +323,9 @@ runSystem(SystemKind system, const prog::Program &program,
         std::shared_ptr<const prog::Program>(), &program);
     req.trace = std::move(trace);
     req.sampler = sampler;
-    return runOne(req).result;
+    RunResponse resp = runOne(req);
+    fatal_if(!resp.ok(), "run failed: %s", resp.error.c_str());
+    return resp.result;
 }
 
 core::RunResult

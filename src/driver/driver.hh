@@ -161,7 +161,9 @@ mem::PageTable figure7PageTable(const prog::Program &program,
  * Perfect, which has no page table). The returned RunResult carries
  * the full stat snapshot (RunResult::stats). A non-null @p sampler
  * is registered with the system (setSampler) and collects its
- * timeline during the run without perturbing it.
+ * timeline during the run without perturbing it. A RunResponse::error
+ * (a refused config, an unreachable owner) is fatal here: callers of
+ * this wrapper expect a finished run.
  */
 core::RunResult runSystem(SystemKind system,
                           const prog::Program &program,

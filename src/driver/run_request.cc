@@ -348,7 +348,8 @@ isRegisteredWorkload(const std::string &name)
  * recorder dumped by any panic (e.g. the run-loop watchdog), an
  * optional sampled timeline, optional request spans / the wall-clock
  * phase profiler (@p spans), and the run itself. @return false with
- * resp.error set when an attachment cannot be created.
+ * resp.error set when an attachment cannot be created or the run
+ * ended in an expected failure.
  */
 bool
 runAttached(core::TimingSystem &sys, const RunRequest &req,
@@ -411,7 +412,8 @@ runAttached(core::TimingSystem &sys, const RunRequest &req,
         local_sampler.writeJson(os);
         resp.timelineJson = os.str();
     }
-    return true;
+    resp.error = resp.result.error;
+    return resp.ok();
 }
 
 } // namespace

@@ -154,7 +154,9 @@ struct RunResponse
     bool cacheHit = false;    ///< trace served from a warm cache entry
     stats::RunMeta meta;      ///< run_meta block of the stats JSON
     std::string timelineJson; ///< sampler timeline ("" when unsampled)
-    /** Rejection reason; non-empty means the run never started. */
+    /** Non-empty when the request was rejected (the run never
+     *  started) or the run ended in an expected failure such as an
+     *  unreachable owner (core::RunResult::error). */
     std::string error;
 
     bool ok() const { return error.empty(); }
@@ -206,9 +208,10 @@ stats::RunMeta runMeta(const RunRequest &req);
  * RunRequest::program, else @p cache (built once per (workload,
  * scale)), else a fresh registry build; the replayed trace from
  * @ref RunRequest::trace, else @p cache when traceReuse is set, else
- * the run executes live. Unknown workloads and unwritable perfetto
- * paths come back as RunResponse::error rather than aborting (the
- * serving path must survive bad requests).
+ * the run executes live. Unknown workloads, unwritable perfetto
+ * paths and hopeless runs (an owner unreachable after every
+ * re-request) come back as RunResponse::error rather than aborting
+ * (the serving path must survive bad requests).
  */
 RunResponse runOne(const RunRequest &req, TraceCache *cache = nullptr);
 

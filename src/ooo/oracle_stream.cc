@@ -7,6 +7,12 @@
 namespace dscalar {
 namespace ooo {
 
+namespace {
+
+constexpr unsigned kChunkShift = func::InstTrace::kChunkShift;
+
+} // namespace
+
 OracleStream::OracleStream(const prog::Program &program,
                            InstSeq max_insts)
     : sim_(std::make_unique<func::FuncSim>(program))
@@ -36,21 +42,47 @@ OracleStream::OracleStream(
     // capture itself ran to completion.
     sourceHalts_ =
         sourceEnd_ == trace->length() && trace->programHalted();
-    sourceChunks_.reserve(trace->numChunks());
-    for (std::size_t i = 0; i < trace->numChunks(); ++i)
+    // Only the chunks the budget reaches; the trace itself is not
+    // retained, so once every consumer trims past a chunk (and any
+    // cache lets the trace go), its memory is freed even while later
+    // chunks are still being replayed.
+    std::size_t chunks = static_cast<std::size_t>(
+        (sourceEnd_ + func::InstTrace::kChunkMask) >> kChunkShift);
+    sourceChunks_.reserve(chunks);
+    for (std::size_t i = 0; i < chunks; ++i)
         sourceChunks_.push_back(trace->chunk(i));
-    // The trace itself is not retained: once every consumer trims
-    // past a chunk (and any cache lets the trace go), its memory is
-    // freed even while later chunks are still being replayed.
+}
+
+void
+OracleStream::openChunk()
+{
+    std::size_t ci = static_cast<std::size_t>(limit_ >> kChunkShift);
+    panic_if(limit_ & func::InstTrace::kChunkMask,
+             "stream opens chunk %zu mid-way (record %llu)", ci,
+             (unsigned long long)limit_);
+    cursorEnd_ = (static_cast<InstSeq>(ci) + 1) << kChunkShift;
+    if (sim_) {
+        // Program-backed: capture this chunk now. A halt inside it
+        // fixes the stream's end.
+        panic_if(sourceChunks_.size() != ci,
+                 "stream captures chunk %zu out of order", ci);
+        sourceChunks_.push_back(func::InstTrace::captureChunk(
+            *sim_, limit_, std::min(sourceEnd_, cursorEnd_) - limit_));
+        if (sim_->halted()) {
+            sourceEnd_ = limit_ + sourceChunks_.back()->size();
+            sourceHalts_ = true;
+        }
+    }
+    cursor_.emplace(*sourceChunks_[ci]);
 }
 
 bool
 OracleStream::extend(InstSeq seq)
 {
-    panic_if(seq < chunkStart_,
-             "stream record %llu already trimmed (chunk base %llu)",
+    panic_if(seq < windowStart_,
+             "stream record %llu already trimmed (window base %llu)",
              (unsigned long long)seq,
-             (unsigned long long)chunkStart_);
+             (unsigned long long)windowStart_);
 
     while (!ended_ && seq >= limit_) {
         if (limit_ >= sourceEnd_) {
@@ -60,29 +92,34 @@ OracleStream::extend(InstSeq seq)
             end_ = sourceEnd_;
             break;
         }
-        std::size_t ci = static_cast<std::size_t>(limit_ >> kChunkShift);
-        InstSeq chunk_end = std::min(
-            sourceEnd_, (static_cast<InstSeq>(ci) + 1) << kChunkShift);
-        if (sim_) {
-            // Program-backed: capture this chunk now. A halt inside
-            // it fixes the stream's end.
-            sourceChunks_.push_back(func::InstTrace::captureChunk(
-                *sim_, limit_, chunk_end - limit_));
-            if (sim_->halted()) {
-                sourceEnd_ = limit_ + sourceChunks_.back()->size();
-                sourceHalts_ = true;
-                chunk_end = sourceEnd_;
+        if (!cursor_)
+            openChunk();
+        if ((limit_ & kSliceMask) == 0) {
+            // The last slice is full: take a recycled one if any.
+            // Every record in it is overwritten before it is read.
+            if (free_.empty()) {
+                slices_.push_back(
+                    std::make_unique_for_overwrite<func::DynInst[]>(
+                        kSliceRecords));
+            } else {
+                slices_.push_back(std::move(free_.back()));
+                free_.pop_back();
             }
         }
-        std::size_t n = static_cast<std::size_t>(chunk_end - limit_);
-        const func::InstTrace::Chunk &src = *sourceChunks_[ci];
-        // Reuse the last trimmed chunk's buffer: every record in it
-        // is overwritten, so it needs no fresh allocation or fill.
-        std::vector<func::DynInst> &dst =
-            chunks_.emplace_back(std::move(spare_));
-        dst.resize(n);
-        func::InstTrace::Chunk::Cursor(src).next(limit_, dst.data(), n);
-        limit_ = chunk_end;
+        // Fill up to the slice's end, the chunk's end, or the
+        // stream's end, whichever comes first.
+        InstSeq stop =
+            std::min({sourceEnd_, cursorEnd_, (limit_ | kSliceMask) + 1});
+        // Decode through a local copy: the compiler keeps a local
+        // cursor's counters in registers, which it cannot do for a
+        // member the DynInst stores might alias.
+        func::InstTrace::Chunk::Cursor cursor = *cursor_;
+        cursor.next(limit_, &slices_.back()[limit_ & kSliceMask],
+                    static_cast<std::size_t>(stop - limit_));
+        cursor_.emplace(cursor);
+        limit_ = stop;
+        if (limit_ == cursorEnd_)
+            cursor_.reset();
         if (limit_ == sourceEnd_ && sourceHalts_) {
             // The halt record is buffered: the end is known.
             ended_ = true;
@@ -93,19 +130,20 @@ OracleStream::extend(InstSeq seq)
 }
 
 void
-OracleStream::trim(InstSeq min_seq)
+OracleStream::release(InstSeq min_seq)
 {
-    // Whole chunks only; the partial tail chunk always stays.
-    while (!chunks_.empty() &&
-           chunks_.front().size() == kChunkRecords &&
-           chunkStart_ + kChunkRecords <= min_seq) {
-        spare_ = std::move(chunks_.front());
-        chunks_.pop_front();
-        sourceChunks_[static_cast<std::size_t>(chunkStart_ >>
-                                               kChunkShift)]
-            .reset();
-        chunkStart_ += kChunkRecords;
+    // Whole filled slices only; the slice being filled always stays.
+    InstSeq upto = std::min(min_seq, limit_);
+    while (windowStart_ + kSliceRecords <= upto) {
+        free_.push_back(std::move(slices_.front()));
+        slices_.pop_front();
+        windowStart_ += kSliceRecords;
     }
+    // A source chunk goes once the window has passed its last record.
+    while (liveChunk_ < sourceChunks_.size() &&
+           (static_cast<InstSeq>(liveChunk_) + 1) << kChunkShift <=
+               windowStart_)
+        sourceChunks_[liveChunk_++].reset();
 }
 
 } // namespace ooo

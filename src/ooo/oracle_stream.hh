@@ -8,19 +8,25 @@
  * (Section 4.2), and the SPSD property that all DataScalar nodes
  * execute the identical instruction stream.
  *
- * Records have one source, func::InstTrace chunks, expanded one
- * chunk at a time as consumers extend the window. A stream over a
- * captured trace expands that trace's chunks, so a sweep re-running
- * the same workload never re-executes it functionally (see
- * driver::TraceCache). A stream over a program captures each chunk
- * on demand with the routine InstTrace::capture uses, so both
- * constructors yield the same records and discover the end at the
- * same probe by construction.
+ * Records have one source, func::InstTrace chunks, read in order by
+ * one persistent Chunk::Cursor over the chunk being expanded. A
+ * stream over a captured trace expands that trace's chunks, so a
+ * sweep re-running the same workload never re-executes it
+ * functionally (see driver::TraceCache). A stream over a program
+ * captures each chunk on demand with the routine InstTrace::capture
+ * uses, so both constructors yield the same records and discover the
+ * end at the same probe by construction.
  *
- * Buffered records live in fixed-size chunks; trim() releases whole
- * chunks once every consumer is past them, together with the
- * stream's reference to the source chunk, so a shared trace's memory
- * can go as soon as all other holders are done with it.
+ * Expanded records live in a window of small fixed-size slices,
+ * decoded one slice at a time as consumers extend the window. The
+ * slice size is the stream's own constant, independent of the trace
+ * format's chunk size, so the buffered records follow the consumers'
+ * spread (the slowest commit point to the fastest fetch point) rather
+ * than whole trace chunks. trim() recycles whole slices through the
+ * stream's free list once every consumer is past them, and drops the
+ * stream's reference to a source chunk once the window has passed
+ * its last record, so a shared trace's memory can go as soon as all
+ * other holders are done with it.
  */
 
 #ifndef DSCALAR_OOO_ORACLE_STREAM_HH
@@ -28,6 +34,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,15 +46,17 @@
 namespace dscalar {
 namespace ooo {
 
-/** Lazily extended, chunk-refcounted window over the dynamic stream. */
+/** Lazily extended window over the dynamic stream, buffered in
+ *  recycled slices. */
 class OracleStream
 {
   public:
-    /** Buffered records per chunk; matches the trace chunking so each
-     *  buffered chunk expands from exactly one trace chunk. */
-    static constexpr unsigned kChunkShift = func::InstTrace::kChunkShift;
-    static constexpr InstSeq kChunkRecords = func::InstTrace::kChunkRecords;
-    static constexpr InstSeq kChunkMask = func::InstTrace::kChunkMask;
+    /** Buffered records per slice (256 x 48-byte DynInst, 12 KB):
+     *  small enough that the window tracks what the cores hold in
+     *  flight, large enough that a decode call covers many records. */
+    static constexpr unsigned kSliceShift = 8;
+    static constexpr InstSeq kSliceRecords = InstSeq(1) << kSliceShift;
+    static constexpr InstSeq kSliceMask = kSliceRecords - 1;
 
     /**
      * Stream over @p program, captured a chunk at a time as consumers
@@ -75,7 +84,7 @@ class OracleStream
     {
         // Hot path: the record is already buffered (the cores poll
         // this every tick for every fetch/issue candidate).
-        if (seq >= chunkStart_ && seq < limit_)
+        if (seq >= windowStart_ && seq < limit_)
             return true;
         return extend(seq);
     }
@@ -87,21 +96,26 @@ class OracleStream
     get(InstSeq seq) const
     {
 #ifndef NDEBUG
-        panic_if(seq < chunkStart_ || seq >= limit_,
-                 "stream record %llu not buffered (chunk base %llu, "
+        panic_if(seq < windowStart_ || seq >= limit_,
+                 "stream record %llu not buffered (window base %llu, "
                  "limit %llu)",
                  (unsigned long long)seq,
-                 (unsigned long long)chunkStart_,
+                 (unsigned long long)windowStart_,
                  (unsigned long long)limit_);
 #endif
-        InstSeq off = seq - chunkStart_;
-        return chunks_[off >> kChunkShift][off & kChunkMask];
+        InstSeq off = seq - windowStart_;
+        return slices_[off >> kSliceShift][off & kSliceMask];
     }
 
     /** Release records below @p min_seq (all consumers are past
-     *  them). Whole chunks only: records in the chunk containing
-     *  @p min_seq stay buffered. */
-    void trim(InstSeq min_seq);
+     *  them). Whole slices only: records in the slice containing
+     *  @p min_seq, and a slice still being filled, stay buffered. */
+    void
+    trim(InstSeq min_seq)
+    {
+        if (min_seq >= windowStart_ + kSliceRecords)
+            release(min_seq);
+    }
 
     /** True once the program end has been discovered inside the
      *  stream (an available() probe reached it). */
@@ -110,11 +124,11 @@ class OracleStream
     /** One past the last instruction; valid only when ended(). */
     InstSeq endSeq() const { return end_; }
 
-    /** Records currently buffered (chunk-granular after trim). */
+    /** Records currently buffered (slice-granular after trim). */
     std::size_t
     bufferedCount() const
     {
-        return static_cast<std::size_t>(limit_ - chunkStart_);
+        return static_cast<std::size_t>(limit_ - windowStart_);
     }
 
     /** Bytes the stream's records print (Print* syscalls); complete
@@ -126,10 +140,19 @@ class OracleStream
     }
 
   private:
-    /** Slow path of available(): expand source chunks (capturing
-     *  them first when program-backed) until @p seq is buffered or
-     *  the stream ends. */
+    using Slice = std::unique_ptr<func::DynInst[]>;
+
+    /** Slow path of available(): decode records into the window
+     *  (opening source chunks, captured first when program-backed)
+     *  until @p seq is buffered or the stream ends. */
     bool extend(InstSeq seq);
+
+    /** Aim the cursor at the chunk holding record limit_, capturing
+     *  it first when program-backed. */
+    void openChunk();
+
+    /** trim()'s work once at least one slice may go. */
+    void release(InstSeq min_seq);
 
     /** Program-backed only: executes the program as chunks are
      *  captured. */
@@ -137,23 +160,29 @@ class OracleStream
     /** Output of the replayed prefix (trace-backed only). */
     std::string traceOutput_;
     /** Source chunk per chunk index (the stream does not pin a whole
-     *  InstTrace), dropped as trim() passes each chunk — the
+     *  InstTrace), dropped once the window passes each chunk — the
      *  refcounted chunk release that lets a shared trace's memory go
      *  progressively as every consumer advances. */
     std::vector<std::shared_ptr<const func::InstTrace::Chunk>>
         sourceChunks_;
+    /** Index of the first source chunk not yet dropped. */
+    std::size_t liveChunk_ = 0;
+    /** Reads the chunk being expanded; empty between chunks. */
+    std::optional<func::InstTrace::Chunk::Cursor> cursor_;
+    /** One past the last record of the cursor's chunk. */
+    InstSeq cursorEnd_ = 0;
     /** One past the last record the stream may produce: the budget,
      *  or the program's end once known. */
     InstSeq sourceEnd_ = ~static_cast<InstSeq>(0);
     /** sourceEnd_ is a program halt rather than a budget. */
     bool sourceHalts_ = false;
 
-    /** Buffered records: chunks_[0] starts at chunkStart_ (always a
-     *  chunk multiple); only the last chunk may be partial. */
-    std::deque<std::vector<func::DynInst>> chunks_;
-    /** The last trimmed chunk's buffer, refilled by the next extend. */
-    std::vector<func::DynInst> spare_;
-    InstSeq chunkStart_ = 0;
+    /** The window: slices_[0] starts at windowStart_ (always a slice
+     *  multiple); only the last slice may be partly filled. */
+    std::deque<Slice> slices_;
+    /** Trimmed slices, refilled by the next extend. */
+    std::vector<Slice> free_;
+    InstSeq windowStart_ = 0;
     InstSeq limit_ = 0; ///< one past the highest buffered record
     bool ended_ = false;
     InstSeq end_ = 0;

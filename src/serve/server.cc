@@ -6,7 +6,9 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <sstream>
 
@@ -429,6 +431,11 @@ renderMetricsText(const ServerStats &s)
                s.traceDiskHits);
     emitMetric(os, "dsserve_trace_disk_writes_total", "counter",
                "Trace files written to the store.", s.traceDiskWrites);
+    emitMetric(os, "dsserve_resident_bytes", "gauge",
+               "Process resident memory now (VmRSS).", s.residentBytes);
+    emitMetric(os, "dsserve_resident_peak_bytes", "gauge",
+               "Process resident memory at peak (VmHWM).",
+               s.residentPeakBytes);
     if (!s.phaseUs.empty()) {
         os << "# HELP dsserve_phase_us_total Cumulative wall "
               "microseconds by request phase.\n"
@@ -450,6 +457,31 @@ renderMetricsText(const ServerStats &s)
                         "microseconds.",
                         s.runUs);
     return os.str();
+}
+
+void
+readProcessMemory(ServerStats &s)
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        // "VmRSS:\t    7548 kB"
+        std::uint64_t *field = nullptr;
+        if (line.rfind("VmRSS:", 0) == 0)
+            field = &s.residentBytes;
+        else if (line.rfind("VmHWM:", 0) == 0)
+            field = &s.residentPeakBytes;
+        if (field)
+            *field = std::strtoull(line.c_str() + 6, nullptr, 10) * 1024;
+    }
+}
+
+std::string
+Server::metricsText() const
+{
+    ServerStats s = stats();
+    readProcessMemory(s);
+    return renderMetricsText(s);
 }
 
 ServerStats

@@ -105,6 +105,10 @@ struct ServerStats
     std::uint64_t traceBytes = 0;      ///< TraceCache::memoryBytes()
     std::uint64_t traceDiskHits = 0;   ///< TraceCache::diskHits()
     std::uint64_t traceDiskWrites = 0; ///< TraceCache::diskWrites()
+    /** Process resident bytes now and at peak (VmRSS, VmHWM); read
+     *  only when an op = metrics request is served, else 0. */
+    std::uint64_t residentBytes = 0;
+    std::uint64_t residentPeakBytes = 0;
 
     /** Wall-microsecond distributions over *completed* runs, sampled
      *  from each request's span recorder (1 ms buckets, 0..200 ms +
@@ -131,6 +135,10 @@ struct ServerStats
  *  `_count`. Pure function of the snapshot, so golden-text testable
  *  without a socket (tests/test_metrics.cc). */
 std::string renderMetricsText(const ServerStats &s);
+
+/** Fill @p s's residentBytes and residentPeakBytes from this
+ *  process's /proc/self/status; a field it cannot read stays 0. */
+void readProcessMemory(ServerStats &s);
 
 class Server
 {
@@ -167,8 +175,9 @@ class Server
      *  (run_meta carries service/socket), including the latency
      *  histograms and per-phase wall totals. */
     std::string statsJson() const;
-    /** The op = metrics reply body: renderMetricsText(stats()). */
-    std::string metricsText() const { return renderMetricsText(stats()); }
+    /** The op = metrics reply body: renderMetricsText(stats()),
+     *  with the process's memory read at this moment. */
+    std::string metricsText() const;
 
   private:
     struct Connection

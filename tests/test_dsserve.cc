@@ -216,6 +216,47 @@ TEST(DsServe, HardBshrWithoutRecoveryRejectedServerSurvives)
     server.stop();
 }
 
+/** Send @p block to a fresh daemon: the reply is an unreachable-owner
+ *  error, and the daemon still answers a ping afterwards. */
+void
+expectUnreachableOwnerServerSurvives(const std::string &socket,
+                                     const std::string &block)
+{
+    serve::Server server(testConfig(socket));
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    serve::Client client = connectTo(socket);
+
+    std::istringstream in(block);
+    driver::RunRequest req;
+    ASSERT_TRUE(driver::parseRunRequest(in, req, error)) << error;
+    serve::Reply reply = client.run(req);
+    EXPECT_FALSE(reply.ok);
+    EXPECT_NE(reply.error.find("owner unreachable"), std::string::npos)
+        << reply.error;
+
+    EXPECT_TRUE(client.ping().ok);
+    EXPECT_EQ(server.stats().failed, 1u);
+    server.stop();
+}
+
+TEST(DsServe, EveryTransmissionLostErrorsServerSurvives)
+{
+    expectUnreachableOwnerServerSurvives(
+        "t_dss_drop.sock", "workload = go_s\nsystem = datascalar\n"
+                           "nodes = 4\nfault_drop = 1\n"
+                           "max_insts = 2000\n\n");
+}
+
+TEST(DsServe, ShortTimeoutUnderHardBshrErrorsServerSurvives)
+{
+    expectUnreachableOwnerServerSurvives(
+        "t_dss_hard.sock", "workload = go_s\nsystem = datascalar\n"
+                           "nodes = 4\nbshr_hard = 1\n"
+                           "rerequest_timeout = 100\n"
+                           "max_insts = 50000\n\n");
+}
+
 TEST(DsServe, OversizedRequestDropsConnection)
 {
     serve::ServerConfig cfg = testConfig("t_dss_big.sock");

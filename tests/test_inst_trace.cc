@@ -264,7 +264,7 @@ TEST(InstTrace, TrimDropsChunkReferences)
         // Advancing past the first chunk releases the stream's
         // reference into the shared trace; the trace itself still
         // holds the chunk.
-        stream.trim(ooo::OracleStream::kChunkRecords);
+        stream.trim(InstTrace::kChunkRecords);
         EXPECT_EQ(trace->chunk(0).use_count(), base);
         EXPECT_EQ(trace->chunk(1).use_count(), base + 1);
     }

@@ -4,13 +4,15 @@
  * against a hand-built ServerStats), the ServerStats coherence
  * contract under concurrent load (completed + failed <= requests and
  * latency-histogram count == completed in EVERY snapshot), the
- * `op = metrics` wire path, the span_* reply-header keys, and
+ * `op = metrics` wire path and its process-memory gauges, the span_*
+ * reply-header keys, and
  * Snapshot::addHistogram's deep-copy semantics.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +38,8 @@ TEST(MetricsText, GoldenExposition)
     s.traceHits = 4;
     s.traceCaptures = 1;
     s.traceBytes = 4096;
+    s.residentBytes = 7 << 20;
+    s.residentPeakBytes = 9 << 20;
     s.phaseUs["build"] = 42;
     s.phaseUs["sim_run"] = 9001;
     // 1 ms buckets: 500 -> le=1000, 1500 -> le=2000, 250000 ->
@@ -89,6 +93,14 @@ TEST(MetricsText, GoldenExposition)
         "to the store.\n"
         "# TYPE dsserve_trace_disk_writes_total counter\n"
         "dsserve_trace_disk_writes_total 0\n"
+        "# HELP dsserve_resident_bytes Process resident memory now "
+        "(VmRSS).\n"
+        "# TYPE dsserve_resident_bytes gauge\n"
+        "dsserve_resident_bytes 7340032\n"
+        "# HELP dsserve_resident_peak_bytes Process resident memory at "
+        "peak (VmHWM).\n"
+        "# TYPE dsserve_resident_peak_bytes gauge\n"
+        "dsserve_resident_peak_bytes 9437184\n"
         "# HELP dsserve_phase_us_total Cumulative wall microseconds "
         "by request phase.\n"
         "# TYPE dsserve_phase_us_total counter\n"
@@ -166,6 +178,18 @@ smallRequest()
     return req;
 }
 
+/** The value of the unlabelled sample @p name in exposition @p text
+ *  (0 when absent). */
+std::uint64_t
+metricValue(const std::string &text, const std::string &name)
+{
+    std::size_t at = text.find("\n" + name + " ");
+    if (at == std::string::npos)
+        return 0;
+    return std::strtoull(text.c_str() + at + name.size() + 2, nullptr,
+                         10);
+}
+
 TEST(MetricsOp, WirePathAndSpanHeaderKeys)
 {
     serve::Server server(testConfig("t_met_wire.sock"));
@@ -197,8 +221,24 @@ TEST(MetricsOp, WirePathAndSpanHeaderKeys)
                   "dsserve_request_latency_us_count 1"),
               std::string::npos)
         << metrics.json;
+    // The process's own memory, read when the request was served.
+    std::uint64_t rss = metricValue(metrics.json, "dsserve_resident_bytes");
+    std::uint64_t peak =
+        metricValue(metrics.json, "dsserve_resident_peak_bytes");
+    EXPECT_GT(rss, 0u) << metrics.json;
+    EXPECT_GE(peak, rss) << metrics.json;
 
     server.stop();
+}
+
+TEST(MetricsText, ProcessMemoryIsReadFromProc)
+{
+    serve::ServerStats s;
+    serve::readProcessMemory(s);
+    // This test process holds at least its code and gtest's state.
+    EXPECT_GT(s.residentBytes, 64u * 1024);
+    EXPECT_GE(s.residentPeakBytes, s.residentBytes);
+    EXPECT_EQ(s.residentBytes % 1024, 0u);
 }
 
 TEST(MetricsCoherence, SnapshotsNeverTearUnderLoad)

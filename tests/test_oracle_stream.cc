@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include "ooo/oracle_stream.hh"
 #include "prog/assembler.hh"
 
@@ -109,9 +113,13 @@ TEST(OracleStream, MultipleConsumersSeeSameRecords)
     }
 }
 
-TEST(OracleStream, TrimReleasesWholeChunksOnly)
+constexpr InstSeq kSlice = OracleStream::kSliceRecords;
+constexpr InstSeq kChunk = func::InstTrace::kChunkRecords;
+
+TEST(OracleStream, TrimReleasesWholeSlicesOnly)
 {
-    // li + (addi, bne) x3000 + halt = 6002 records: two chunks.
+    // li + (addi, bne) x3000 + halt = 6002 records: two trace chunks,
+    // 24 slices.
     prog::Program p = countdownProgram(3000);
     for (Source s : kSources) {
         SCOPED_TRACE(sourceName(s));
@@ -120,23 +128,122 @@ TEST(OracleStream, TrimReleasesWholeChunksOnly)
         std::size_t before = stream.bufferedCount();
         ASSERT_EQ(before, 6002u);
 
-        // Trimming inside the first chunk releases nothing...
+        // Trimming inside the first slice releases nothing...
         stream.trim(5);
         EXPECT_EQ(stream.bufferedCount(), before);
         EXPECT_EQ(stream.get(5).seq, 5u); // still accessible
 
-        // ...and records just below a consumed chunk boundary keep
-        // the chunk alive.
-        stream.trim(OracleStream::kChunkRecords - 1);
+        // ...and records just below a slice boundary keep the slice.
+        stream.trim(kSlice - 1);
         EXPECT_EQ(stream.bufferedCount(), before);
+        EXPECT_EQ(stream.get(0).seq, 0u);
 
-        // Once every record of the first chunk is passed, it goes at
-        // once.
-        stream.trim(OracleStream::kChunkRecords + 1);
-        EXPECT_EQ(stream.bufferedCount(),
-                  before - OracleStream::kChunkRecords);
-        EXPECT_EQ(stream.get(OracleStream::kChunkRecords + 1).seq,
-                  OracleStream::kChunkRecords + 1);
+        // Once every record of a slice is passed, it goes at once,
+        // and only whole slices follow it.
+        stream.trim(kSlice);
+        EXPECT_EQ(stream.bufferedCount(), before - kSlice);
+        stream.trim(3 * kSlice + 7);
+        EXPECT_EQ(stream.bufferedCount(), before - 3 * kSlice);
+        EXPECT_EQ(stream.get(3 * kSlice).seq, 3 * kSlice);
+
+        // Trimming past the end keeps the partly filled last slice
+        // (6002 = 23 x 256 + 114).
+        stream.trim(6002);
+        EXPECT_EQ(stream.bufferedCount(), 6002 - 23 * kSlice);
+        EXPECT_EQ(stream.get(6001).inst.op, isa::Opcode::HALT);
+    }
+}
+
+TEST(OracleStream, TrimDropsSourceChunkPastItsLastRecord)
+{
+    prog::Program p = countdownProgram(3000);
+    std::shared_ptr<const func::InstTrace> trace =
+        func::InstTrace::capture(p);
+    ASSERT_EQ(trace->numChunks(), 2u);
+    std::weak_ptr<const func::InstTrace::Chunk> first = trace->chunk(0);
+    OracleStream stream(trace);
+    // The stream holds chunks, not the trace: with the trace gone,
+    // the stream is the chunks' only owner.
+    trace.reset();
+    ASSERT_TRUE(stream.available(6001));
+
+    // The window has not passed the chunk's last record yet.
+    stream.trim(kChunk - 1);
+    EXPECT_FALSE(first.expired());
+    // Passing it releases the chunk's memory.
+    stream.trim(kChunk);
+    EXPECT_TRUE(first.expired());
+    EXPECT_EQ(stream.get(kChunk).seq, kChunk);
+}
+
+TEST(OracleStream, EdgeRecordsSurviveTrimNextToThem)
+{
+    // 4 x 2500 + 2 = 10002 records, printing throughout.
+    prog::Program p = printingCountdownProgram(2500);
+    for (Source s : kSources) {
+        SCOPED_TRACE(sourceName(s));
+        OracleStream reference = streamOver(s, p);
+        OracleStream stream = streamOver(s, p);
+        // Slice edge (255/256) and trace chunk edge (4095/4096).
+        for (InstSeq edge : {kSlice, kChunk}) {
+            SCOPED_TRACE("edge " + std::to_string(edge));
+            ASSERT_TRUE(reference.available(edge + kSlice));
+            ASSERT_TRUE(stream.available(edge));
+            const func::DynInst &lo = reference.get(edge - 1);
+            const func::DynInst &hi = reference.get(edge);
+            auto same = [&](const func::DynInst &want, InstSeq seq) {
+                ASSERT_TRUE(stream.available(seq));
+                const func::DynInst &got = stream.get(seq);
+                EXPECT_EQ(got.seq, want.seq);
+                EXPECT_EQ(got.pc, want.pc);
+                EXPECT_EQ(isa::encode(got.inst), isa::encode(want.inst));
+                EXPECT_EQ(got.effAddr, want.effAddr);
+                EXPECT_EQ(got.memSize, want.memSize);
+                EXPECT_EQ(got.nextPc, want.nextPc);
+            };
+            same(lo, edge - 1);
+            same(hi, edge);
+            // A trim just below the edge keeps both sides.
+            stream.trim(edge - 1);
+            same(lo, edge - 1);
+            same(hi, edge);
+            // A trim at the edge releases the lower side only; the
+            // upper side reads the same, as does the next slice's
+            // first record, decoded after the trim.
+            stream.trim(edge);
+            EXPECT_EQ(stream.bufferedCount() % kSlice, 0u);
+            same(hi, edge);
+            same(reference.get(edge + kSlice), edge + kSlice);
+        }
+    }
+}
+
+TEST(OracleStream, WindowTracksConsumerSpread)
+{
+    // Two consumers: a leader probing ahead, a follower trailing at
+    // a spread that grows and shrinks. After each trim to the
+    // follower, the window holds at most the spread plus a partly
+    // consumed slice at each end.
+    prog::Program p = countdownProgram(6000);
+    for (Source s : kSources) {
+        SCOPED_TRACE(sourceName(s));
+        OracleStream stream = streamOver(s, p);
+        InstSeq follower = 0;
+        std::size_t most = 0;
+        for (InstSeq leader = 0; stream.available(leader); ++leader) {
+            InstSeq spread = (leader / 7) % 900;
+            follower = std::max(follower,
+                                leader > spread ? leader - spread : 0);
+            ASSERT_EQ(stream.get(follower).seq, follower);
+            stream.trim(follower);
+            ASSERT_LE(stream.bufferedCount(),
+                      (leader - follower) + 2 * kSlice)
+                << "leader " << leader << " follower " << follower;
+            most = std::max(most, stream.bufferedCount());
+        }
+        EXPECT_TRUE(stream.ended());
+        // Far below a whole trace chunk.
+        EXPECT_LT(most, kChunk / 2);
     }
 }
 
@@ -201,8 +308,8 @@ TEST(OracleStream, ProgramBackedMatchesCaptureAtChunkBoundaries)
     // known as soon as that chunk is buffered, in both sources.
     prog::Program exact = countdownProgram(4095);
     ASSERT_EQ(func::InstTrace::capture(exact)->length(),
-              2 * OracleStream::kChunkRecords);
-    for (InstSeq budget : {InstSeq(0), 2 * OracleStream::kChunkRecords}) {
+              2 * kChunk);
+    for (InstSeq budget : {InstSeq(0), 2 * kChunk}) {
         SCOPED_TRACE("exact-multiple halt, budget " +
                      std::to_string(budget));
         OracleStream program_backed(exact, budget);
@@ -219,7 +326,7 @@ TEST(OracleStreamDeath, TrimmedAccessPanics)
         SCOPED_TRACE(sourceName(s));
         OracleStream stream = streamOver(s, p);
         ASSERT_TRUE(stream.available(6001));
-        stream.trim(OracleStream::kChunkRecords);
+        stream.trim(kChunk);
         // get() itself only asserts in debug builds; the probe is the
         // guaranteed diagnostic in every build type.
         EXPECT_DEATH(stream.available(2), "trimmed");

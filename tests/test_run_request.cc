@@ -261,6 +261,52 @@ TEST(RunOne, HardBshrWithoutRecoveryIsAnError)
         << resp.error;
 }
 
+/** Parse one request block; the test fails on a parse error. */
+driver::RunRequest
+parsedRequest(const std::string &block)
+{
+    std::istringstream in(block);
+    driver::RunRequest req;
+    std::string error;
+    EXPECT_TRUE(driver::parseRunRequest(in, req, error)) << error;
+    return req;
+}
+
+/** A run whose owner stays unreachable through every re-request ends
+ *  as an error naming the node, the line and the attempt count. */
+void
+expectUnreachableOwner(const std::string &block)
+{
+    driver::RunResponse resp = driver::runOne(parsedRequest(block));
+    EXPECT_FALSE(resp.ok());
+    EXPECT_NE(resp.error.find("owner unreachable"), std::string::npos)
+        << resp.error;
+    EXPECT_NE(resp.error.find("node "), std::string::npos) << resp.error;
+    EXPECT_NE(resp.error.find("line 0x"), std::string::npos)
+        << resp.error;
+    EXPECT_NE(resp.error.find("after 16 re-requests"), std::string::npos)
+        << resp.error;
+}
+
+TEST(RunOne, EveryTransmissionLostIsAnError)
+{
+    // fault_drop = 1 arms the default 2000-cycle recovery, and every
+    // re-request and answer is lost too.
+    expectUnreachableOwner("workload = go_s\nsystem = datascalar\n"
+                           "nodes = 4\nfault_drop = 1\n"
+                           "max_insts = 2000\n\n");
+}
+
+TEST(RunOne, ShortTimeoutUnderHardBshrIsAnError)
+{
+    // Fault-free: a 100-cycle timeout under hard-BSHR flow control
+    // keeps re-requesting lines whose answers a full bank drops.
+    expectUnreachableOwner("workload = go_s\nsystem = datascalar\n"
+                           "nodes = 4\nbshr_hard = 1\n"
+                           "rerequest_timeout = 100\n"
+                           "max_insts = 50000\n\n");
+}
+
 TEST(RunOne, MatchesLegacyRunSystem)
 {
     prog::Program program = workloads::findWorkload("go_s").build(1);

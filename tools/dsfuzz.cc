@@ -648,7 +648,11 @@ runCampaign(const Options &opt)
                     (unsigned long long)map.uniqueNgrams(), opt.ngram,
                     (unsigned long long)map.runsRecorded(),
                     corpus.size());
-    if (!opt.quiet)
+    if (!opt.quiet) {
+        if (st.expectedFailures)
+            std::printf("expected failures (unreachable owner, not "
+                        "findings): %llu configs\n",
+                        (unsigned long long)st.expectedFailures);
         std::printf("OK: %llu trials, %llu configs, %llu timing "
                     "runs, %.1f s\n",
                     (unsigned long long)(customLoop
@@ -657,6 +661,7 @@ runCampaign(const Options &opt)
                     (unsigned long long)st.configsChecked,
                     (unsigned long long)st.timingRuns,
                     elapsedSeconds(start));
+    }
     return 0;
 }
 
