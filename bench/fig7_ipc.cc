@@ -31,10 +31,11 @@ int
 main()
 {
     bench::banner("Figure 7", "timing-simulation IPC comparison");
-    InstSeq budget = bench::defaultBudget(300'000);
+    driver::RunRequest base;
+    base.config.maxInsts = bench::defaultBudget(300'000);
 
     stats::Table table = driver::fig7IpcTable(
-        workloads::timingWorkloadNames(), budget, bench::benchJobs());
+        workloads::timingWorkloadNames(), base, bench::benchJobs());
     table.print(std::cout);
 
     std::printf("\npaper: 2-node DataScalar 7%% slower to 15%% "

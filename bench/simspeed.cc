@@ -12,9 +12,8 @@
  * the Figure 7 sweep at 1 vs benchJobs() workers; their *NoReuse
  * twins disable the shared trace capture (driver::TraceCache), so
  * the win from executing each workload once is visible directly.
- * BM_TraceCaptureCold/BM_TraceLoadDisk time a functional trace
- * capture against mmap-loading the same trace back from the
- * persistent store (docs/PERF.md "Persistent trace store").
+ * BM_TraceCaptureCold times one functional trace capture, the cost
+ * of every TraceCache miss.
  *
  * Smoke variants (--benchmark_filter=Smoke) run one tiny iteration
  * of every engine; the custom main() exits non-zero if any run
@@ -25,17 +24,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/bench_util.hh"
 #include "core/datascalar.hh"
 #include "driver/driver.hh"
-#include "func/trace_file.hh"
 #include "workloads/workloads.hh"
 
 using namespace dscalar;
@@ -78,87 +73,15 @@ BM_FunctionalSim(benchmark::State &state)
         static_cast<std::int64_t>(budget));
 }
 
-/** The persistent-trace-store twins — the two TraceCache miss
- *  paths with a store configured. Cold: capture by functional
- *  execution, then write the trace file (what the first process
- *  ever to want this trace pays). Disk: mmap-load the file back
- *  (what every later process pays instead). The load side is not
- *  lazy — checksum validation reads the whole payload, so every
- *  page is resident when loadTraceFile returns; the loop only
- *  spot-reads each chunk's borrowed columns on top. Per-record
- *  decode happens during replay either way, so it belongs to
- *  neither side. The ratio is the warm-restart win the store
- *  exists for; bytes_per_record tracks the on-disk cost of the
- *  compact layout. */
-std::string
-benchTracePath(const char *tag)
-{
-    const char *tmp = std::getenv("TMPDIR");
-    return std::string(tmp && *tmp ? tmp : "/tmp") +
-           "/simspeed-trace." + std::to_string(::getpid()) + "." +
-           tag + ".dstrace";
-}
-
 void
 BM_TraceCaptureCold(benchmark::State &state)
 {
     const prog::Program &p = compressProgram();
     InstSeq budget = static_cast<InstSeq>(state.range(0));
-    std::string path = benchTracePath("cold");
-    std::string err;
     for (auto _ : state) {
         auto t = func::InstTrace::capture(p, budget);
-        if (!func::saveTraceFile(path, *t, "bench", p.imageDigest(),
-                                 err)) {
-            state.SkipWithError(err.c_str());
-            break;
-        }
         benchmark::DoNotOptimize(t);
     }
-    std::remove(path.c_str());
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(budget));
-}
-
-void
-BM_TraceLoadDisk(benchmark::State &state)
-{
-    const prog::Program &p = compressProgram();
-    InstSeq budget = static_cast<InstSeq>(state.range(0));
-    std::string path = benchTracePath("disk");
-    auto captured = func::InstTrace::capture(p, budget);
-    std::string err;
-    if (!func::saveTraceFile(path, *captured, "bench",
-                             p.imageDigest(), err)) {
-        state.SkipWithError(err.c_str());
-        return;
-    }
-
-    for (auto _ : state) {
-        auto t = func::loadTraceFile(path, "bench", p.imageDigest(),
-                                     err);
-        if (!t) {
-            state.SkipWithError(err.c_str());
-            break;
-        }
-        std::uint64_t sum = 0;
-        for (std::size_t ci = 0; ci < t->numChunks(); ++ci) {
-            const auto &c = t->chunk(ci);
-            sum += c->firstPc + c->word[c->size() - 1] +
-                   c->nonSeq[0];
-        }
-        benchmark::DoNotOptimize(sum);
-    }
-
-    func::TraceFileInfo info;
-    if (func::loadTraceFile(path, "bench", p.imageDigest(), err,
-                            &info) &&
-        info.records)
-        state.counters["bytes_per_record"] =
-            static_cast<double>(info.fileBytes) /
-            static_cast<double>(info.records);
-    std::remove(path.c_str());
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(budget));
@@ -222,10 +145,11 @@ void
 sweepBody(benchmark::State &state, unsigned jobs, bool reuse = true)
 {
     const std::vector<std::string> names{"compress_s", "go_s"};
-    InstSeq budget = static_cast<InstSeq>(state.range(0));
+    driver::RunRequest base;
+    base.config.maxInsts = static_cast<InstSeq>(state.range(0));
+    base.traceReuse = reuse;
     for (auto _ : state) {
-        stats::Table t =
-            driver::fig7IpcTable(names, budget, jobs, true, reuse);
+        stats::Table t = driver::fig7IpcTable(names, base, jobs);
         benchmark::DoNotOptimize(t);
     }
     state.SetItemsProcessed(
@@ -267,7 +191,6 @@ BM_SweepParallelNoReuse(benchmark::State &state)
 
 BENCHMARK(BM_FunctionalSim)->Arg(100000);
 BENCHMARK(BM_TraceCaptureCold)->Arg(100000);
-BENCHMARK(BM_TraceLoadDisk)->Arg(100000);
 // {insts, skip} / {insts, nodes, skip}
 BENCHMARK(BM_PerfectTiming)->Args({30000, 1})->Args({30000, 0});
 BENCHMARK(BM_DataScalarTiming)
@@ -326,11 +249,6 @@ BM_SmokeTraceCapture(benchmark::State &state)
 {
     BM_TraceCaptureCold(state);
 }
-void
-BM_SmokeTraceLoad(benchmark::State &state)
-{
-    BM_TraceLoadDisk(state);
-}
 
 BENCHMARK(BM_SmokeFunctional)->Arg(5000)->Iterations(1);
 BENCHMARK(BM_SmokePerfect)->Args({2000, 1})->Iterations(1);
@@ -341,7 +259,6 @@ BENCHMARK(BM_SmokeDataScalar)
 BENCHMARK(BM_SmokeTraditional)->Args({2000, 2, 1})->Iterations(1);
 BENCHMARK(BM_SmokeSweepParallel)->Arg(2000)->Iterations(1);
 BENCHMARK(BM_SmokeTraceCapture)->Arg(5000)->Iterations(1);
-BENCHMARK(BM_SmokeTraceLoad)->Arg(5000)->Iterations(1);
 
 /**
  * Console reporter that also checks every run for forward progress:

@@ -1,7 +1,5 @@
 #include "check/oracle.hh"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
@@ -13,7 +11,6 @@
 #include "common/logging.hh"
 #include "core/datascalar.hh"
 #include "func/func_sim.hh"
-#include "func/trace_file.hh"
 #include "obs/flight_recorder.hh"
 
 namespace dscalar {
@@ -244,8 +241,6 @@ describeConfig(const TrialConfig &c)
        << " hardbshr=" << (c.hardBshr ? 1 : 0)
        << " bshrcap=" << c.bshrCapacity
        << " maxinsts=" << c.maxInsts << " faultseed=" << c.faultSeed;
-    if (!c.traceDir.empty())
-        os << " tracedir=" << c.traceDir;
     if (c.faultsNoRecovery)
         os << " faults-no-recovery=1";
     if (c.mutation != core::ProtocolMutation::None)
@@ -338,14 +333,11 @@ Oracle::sampleConfig(Random &rng) const
     c.eventDriven = !rng.chance(0.25);
     c.crossEventDriven = rng.chance(0.25);
     c.crossReplay = rng.chance(0.35);
-    // Drawn unconditionally so configuring a trace store never
-    // reshuffles the rest of the config stream for a given seed.
-    bool diskReplay = rng.chance(0.25);
-    if (diskReplay && !options_.traceDir.empty())
-        c.traceDir = options_.traceDir;
-    // The draws that once picked a tick-thread count and its
-    // serial/parallel differential are still made and discarded, so
-    // a seed keeps exploring the configs it explored before.
+    // The draws that once chose a disk-replay differential, a
+    // tick-thread count and its serial/parallel differential are
+    // still made and discarded, so a seed keeps exploring the
+    // configs it explored before.
+    rng.chance(0.25);
     if (rng.chance(0.3))
         rng.below(3);
     rng.chance(0.25);
@@ -410,36 +402,6 @@ Oracle::checkConfig(const prog::Program &program,
         if (!err.empty())
             return fail(rep, "trace-replay run: " + err);
         err = compareOutcomes(live, rep, "trace-replay vs live");
-        if (!err.empty())
-            return fail(rep, err);
-    }
-
-    if (!config.traceDir.empty()) {
-        // Disk round trip: save the golden trace, mmap-load it back
-        // (key/digest/checksum validated), replay the loaded copy.
-        ::mkdir(config.traceDir.c_str(), 0777);
-        std::uint64_t digest = program.imageDigest();
-        char leaf[64];
-        std::snprintf(leaf, sizeof(leaf), "/fuzz-%016llx.dstrace",
-                      (unsigned long long)digest);
-        std::string path = config.traceDir + leaf;
-        std::string key = "fuzz/" + program.name;
-        std::string ferr;
-        if (!func::saveTraceFile(path, *golden.trace, key, digest,
-                                 ferr))
-            return "trace-store save failed: " + ferr;
-        std::shared_ptr<const func::InstTrace> loaded =
-            func::loadTraceFile(path, key, digest, ferr);
-        if (!loaded)
-            return "trace-store load failed: " + ferr;
-        ++stats_.timingRuns;
-        RunOutcome rep = run(cfg, loaded);
-        if (!rep.invariantError.empty())
-            return fail(rep, "disk-replay run: " + rep.invariantError);
-        err = checkAgainstGolden(rep, golden, cfg);
-        if (!err.empty())
-            return fail(rep, "disk-replay run: " + err);
-        err = compareOutcomes(live, rep, "disk-replay vs live");
         if (!err.empty())
             return fail(rep, err);
     }

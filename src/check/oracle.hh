@@ -74,13 +74,6 @@ struct TrialConfig
     /** Also replay the golden trace through the same config and
      *  require identical cycles / output / stats. */
     bool crossReplay = false;
-    /** When non-empty: persist the golden trace into this directory
-     *  (func::saveTraceFile), mmap-load it back, and replay the
-     *  loaded copy through the same config, requiring identical
-     *  cycles / output / stats. Catches trace-store serialization
-     *  bugs the in-memory crossReplay differential cannot see. */
-    std::string traceDir;
-
     /** Drop/dup/delay fault injection with re-request recovery
      *  armed (DataScalar only). */
     bool faults = false;
@@ -161,12 +154,6 @@ struct OracleOptions
 {
     unsigned configsPerTrial = 2;
     InstSeq goldenBudget = 50'000'000;
-    /** When non-empty, sampleConfig points a fraction of configs at
-     *  this directory (TrialConfig::traceDir) so campaigns cover the
-     *  disk-loaded replay differential. The rng draw happens either
-     *  way, so setting this never reshuffles the rest of the matrix
-     *  a seed explores. */
-    std::string traceDir;
     /** When non-null, every DataScalar timing run's protocol-event
      *  history is folded into this map (check/coverage.hh) and the
      *  run's coverage gain is exposed via lastCoverageGain(). Not

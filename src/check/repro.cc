@@ -67,7 +67,6 @@ formatRepro(const ReproCase &r)
     emit(os, "bshr_capacity", c.bshrCapacity);
     emit(os, "max_insts", c.maxInsts);
     emit(os, "fault_seed", c.faultSeed);
-    emit(os, "trace_dir", c.traceDir);
     // Only mutation-sensitivity repros carry this key; ordinary
     // repro files omit it.
     if (c.mutation != core::ProtocolMutation::None)
@@ -98,10 +97,6 @@ parseRepro(std::istream &in, ReproCase &out, std::string &error)
         // String-valued keys first.
         if (key == "mismatch") {
             r.mismatch = value;
-            continue;
-        }
-        if (key == "trace_dir") {
-            r.config.traceDir = value;
             continue;
         }
         if (key == "system") {
@@ -136,12 +131,10 @@ parseRepro(std::istream &in, ReproCase &out, std::string &error)
             continue;
         }
 
+        // The key is matched before the value is judged, so a key
+        // this format does not know is named as such.
         std::uint64_t v = 0;
-        if (!parseU64(value, v)) {
-            error = "line " + std::to_string(lineno) +
-                    ": non-numeric value for '" + key + "'";
-            return false;
-        }
+        bool numeric = parseU64(value, v);
         auto u = [v] { return static_cast<unsigned>(v); };
         if (key == "seed") {
             r.seed = v;
@@ -209,6 +202,11 @@ parseRepro(std::istream &in, ReproCase &out, std::string &error)
         else {
             error = "line " + std::to_string(lineno) +
                     ": unknown key '" + key + "'";
+            return false;
+        }
+        if (!numeric) {
+            error = "line " + std::to_string(lineno) +
+                    ": non-numeric value for '" + key + "'";
             return false;
         }
     }

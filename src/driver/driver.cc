@@ -411,15 +411,12 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
 
 stats::Table
 fig7IpcTable(const std::vector<std::string> &workload_names,
-             InstSeq budget, unsigned jobs, bool event_driven,
-             bool trace_reuse)
+             const RunRequest &base, unsigned jobs, std::string *error)
 {
     std::vector<RunRequest> requests;
     for (const std::string &name : workload_names) {
-        RunRequest req;
+        RunRequest req = base;
         req.workload = name;
-        req.config.maxInsts = budget;
-        req.config.eventDriven = event_driven;
         auto add = [&](SystemKind system, unsigned nodes) {
             req.system = system;
             req.config.numNodes = nodes;
@@ -432,12 +429,20 @@ fig7IpcTable(const std::vector<std::string> &workload_names,
         add(SystemKind::Traditional, 4);
     }
 
-    std::vector<RunResponse> responses;
-    if (trace_reuse) {
-        TraceCache cache;
-        responses = runMany(requests, cache, jobs);
-    } else {
-        responses = runMany(requests, jobs);
+    TraceCache cache;
+    std::vector<RunResponse> responses = runMany(requests, cache, jobs);
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+        if (responses[i].ok())
+            continue;
+        const RunRequest &req = requests[i];
+        std::string what = req.workload + " " +
+                           systemKindName(req.system) + "-" +
+                           std::to_string(req.config.numNodes) + ": " +
+                           responses[i].error;
+        if (!error)
+            fatal("Figure 7 point %s", what.c_str());
+        *error = what;
+        return stats::Table({});
     }
 
     stats::Table table({"benchmark", "perfect", "DS-2", "DS-4",

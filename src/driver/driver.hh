@@ -236,15 +236,19 @@ runSweep(const std::vector<SweepPoint> &points, TraceCache &cache,
 /**
  * The Figure 7 sweep — perfect, DataScalar at 2/4 nodes, and the
  * traditional system at 1/2 and 1/4 memory — for each named
- * workload, as a formatted IPC table. All five points of every row
- * run concurrently under @p jobs. @p event_driven toggles cycle
- * skipping in every point (the table is identical either way; see
- * docs/PERF.md).
+ * workload, as a formatted IPC table. Every point is @p base with
+ * the workload, system and node count the figure sets; the budget,
+ * interconnect, faults, recovery, BSHR and cycle skipping all come
+ * from @p base. One TraceCache serves the table, and
+ * base.traceReuse decides whether points replay a shared capture
+ * (the table is identical either way). All points run concurrently
+ * under @p jobs. A failed point is fatal unless @p error is given:
+ * then it names the first failed point and the table is empty.
  */
 stats::Table
 fig7IpcTable(const std::vector<std::string> &workload_names,
-             InstSeq budget, unsigned jobs = 1,
-             bool event_driven = true, bool trace_reuse = true);
+             const RunRequest &base, unsigned jobs = 1,
+             std::string *error = nullptr);
 
 } // namespace driver
 } // namespace dscalar

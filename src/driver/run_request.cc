@@ -108,10 +108,6 @@ applyRunRequestKey(RunRequest &req, const std::string &key,
         req.perfettoPath = value;
         return true;
     }
-    if (key == "trace_dir") {
-        req.traceDir = value;
-        return true;
-    }
     if (key == "system") {
         std::optional<SystemKind> kind = parseSystemKind(value);
         if (!kind) {
@@ -284,8 +280,6 @@ formatRunRequest(const RunRequest &req)
         kv::emit(os, "profile", std::uint64_t(1));
     if (!req.perfettoPath.empty())
         kv::emit(os, "perfetto", req.perfettoPath);
-    if (!req.traceDir.empty())
-        kv::emit(os, "trace_dir", req.traceDir);
     return os.str();
 }
 
@@ -470,17 +464,6 @@ runOne(const RunRequest &req, TraceCache *cache)
             resp.cacheHit = hit;
             if (hit)
                 span.setName("trace_cache_hit");
-        } else if (!req.traceDir.empty()) {
-            // One-shot callers still get cross-process warmth: a
-            // private cache over the persistent store mmap-loads a
-            // stored capture or writes one back for the next run.
-            TraceCache local;
-            local.setTraceDir(req.traceDir);
-            trace = local.acquire(req.workload, req.scale,
-                                  req.config.maxInsts);
-            resp.cacheHit = local.diskHits() > 0;
-            if (resp.cacheHit)
-                span.setName("trace_disk_load");
         }
     }
 

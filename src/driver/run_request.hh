@@ -102,14 +102,6 @@ struct RunRequest
     /** Write a Perfetto trace to this (server-side) file
      *  (key `perfetto`; "" = off). */
     std::string perfettoPath;
-    /** Persistent trace store directory (key `trace_dir`; "" = off).
-     *  A cache-less runOne (one-shot dsrun, a replayed repro) builds
-     *  a private TraceCache over it so captures persist across
-     *  processes; when a shared TraceCache is passed in, its own
-     *  configured directory wins and this field is ignored. dsserve
-     *  scrubs the key from wire requests — the daemon's store is
-     *  controlled only by its own --trace-dir. */
-    std::string traceDir;
     /** Instrument the run loop with the wall-clock phase profiler and
      *  append the `profile` stats group to the JSON export (key
      *  `profile`, emitted only when set; 0/absent = off). Wall-clock

@@ -1,55 +1,11 @@
 #include "driver/trace_cache.hh"
 
-#include <sys/stat.h>
-
 #include <chrono>
-#include <cstdio>
 
-#include "func/trace_file.hh"
 #include "workloads/workloads.hh"
 
 namespace dscalar {
 namespace driver {
-
-namespace {
-
-/** Key string stamped into (and checked against) the trace file. */
-std::string
-storeKey(const std::string &workload, unsigned scale,
-         InstSeq max_insts)
-{
-    return workload + "/s" + std::to_string(scale) + "/m" +
-           std::to_string(max_insts);
-}
-
-} // namespace
-
-void
-TraceCache::setTraceDir(const std::string &dir)
-{
-    if (!dir.empty())
-        ::mkdir(dir.c_str(), 0777); // one level; EEXIST is fine
-    std::lock_guard<std::mutex> lock(mutex_);
-    traceDir_ = dir;
-}
-
-std::string
-TraceCache::traceDir() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return traceDir_;
-}
-
-std::string
-TraceCache::traceFileName(const std::string &workload, unsigned scale,
-                          InstSeq max_insts, std::uint64_t digest)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return workload + "-s" + std::to_string(scale) + "-m" +
-           std::to_string(max_insts) + "-" + hex + ".dstrace";
-}
 
 std::shared_ptr<const prog::Program>
 TraceCache::program(const std::string &workload, unsigned scale)
@@ -124,46 +80,11 @@ TraceCache::acquire(const std::string &workload, unsigned scale,
         try {
             std::shared_ptr<const prog::Program> prog =
                 program(workload, scale);
-            std::string dir;
+            std::shared_ptr<const func::InstTrace> trace =
+                func::InstTrace::capture(*prog, max_insts);
             {
                 std::lock_guard<std::mutex> lock(mutex_);
-                dir = traceDir_;
-            }
-            std::shared_ptr<const func::InstTrace> trace;
-            std::string path;
-            if (!dir.empty()) {
-                // Try the persistent store first: a valid file for
-                // this exact (key, image digest) replaces the
-                // functional run with an mmap.
-                path = dir + "/" +
-                       traceFileName(workload, scale, max_insts,
-                                     prog->imageDigest());
-                std::string err;
-                trace = func::loadTraceFile(
-                    path, storeKey(workload, scale, max_insts),
-                    prog->imageDigest(), err);
-            }
-            if (trace) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++diskHits_;
-            } else {
-                trace = func::InstTrace::capture(*prog, max_insts);
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    ++captures_;
-                }
-                if (!dir.empty()) {
-                    std::string err;
-                    if (func::saveTraceFile(
-                            path, *trace,
-                            storeKey(workload, scale, max_insts),
-                            prog->imageDigest(), err)) {
-                        std::lock_guard<std::mutex> lock(mutex_);
-                        ++diskWrites_;
-                    }
-                    // A failed write leaves the store cold but the
-                    // run correct; next process just re-captures.
-                }
+                ++captures_;
             }
             promise.set_value(std::move(trace));
         } catch (...) {
@@ -190,20 +111,6 @@ TraceCache::hits() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return hits_;
-}
-
-std::uint64_t
-TraceCache::diskHits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return diskHits_;
-}
-
-std::uint64_t
-TraceCache::diskWrites() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return diskWrites_;
 }
 
 std::size_t

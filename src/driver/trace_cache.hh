@@ -12,13 +12,6 @@
  * (workload, scale, maxInsts) key captures while later askers block
  * on the same future, so each key is captured exactly once per
  * cache no matter the job count.
- *
- * With a trace directory configured (setTraceDir), the cache is also
- * the persistent trace store's client: a miss first tries to mmap a
- * previously saved trace file for the key (validated against the
- * program's image digest; see func/trace_file.hh), and a genuine
- * functional capture is atomically written back so every later
- * process — including a restarted dsserve — starts warm.
  */
 
 #ifndef DSCALAR_DRIVER_TRACE_CACHE_HH
@@ -62,30 +55,10 @@ class TraceCache
     std::shared_ptr<const prog::Program>
     program(const std::string &workload, unsigned scale);
 
-    /**
-     * Enable the persistent trace store under @p dir ("" disables).
-     * The directory is created if missing (one level). Misses then
-     * load `<workload>-s<scale>-m<maxInsts>-<digest>.dstrace` when a
-     * valid file exists and write one back after a fresh capture.
-     */
-    void setTraceDir(const std::string &dir);
-    /** The configured trace store directory ("" = disabled). */
-    std::string traceDir() const;
-
-    /** On-disk file name for one key (relative to the trace dir). */
-    static std::string traceFileName(const std::string &workload,
-                                     unsigned scale,
-                                     InstSeq max_insts,
-                                     std::uint64_t digest);
-
     /** Functional captures actually executed. */
     std::uint64_t captures() const;
     /** acquire() calls served without a new capture. */
     std::uint64_t hits() const;
-    /** Misses served by mmap-loading a stored trace file. */
-    std::uint64_t diskHits() const;
-    /** Trace files written after a fresh capture. */
-    std::uint64_t diskWrites() const;
     /** Approximate bytes held across all cached traces. */
     std::size_t memoryBytes() const;
 
@@ -116,9 +89,6 @@ class TraceCache
         programs_;
     std::uint64_t captures_ = 0;
     std::uint64_t hits_ = 0;
-    std::uint64_t diskHits_ = 0;
-    std::uint64_t diskWrites_ = 0;
-    std::string traceDir_;
 };
 
 } // namespace driver

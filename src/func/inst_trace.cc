@@ -20,17 +20,6 @@ InstTrace::Chunk::layout(std::size_t count, std::size_t next_pcs,
     return l;
 }
 
-void
-InstTrace::Chunk::bind(const void *block)
-{
-    const auto *base = static_cast<const unsigned char *>(block);
-    Layout l = layout();
-    word = reinterpret_cast<const std::uint32_t *>(base);
-    nonSeq = reinterpret_cast<const std::uint64_t *>(base + l.nonSeq);
-    nextPc = reinterpret_cast<const Addr *>(base + l.nextPc);
-    effAddr = reinterpret_cast<const Addr *>(base + l.effAddr);
-}
-
 InstTrace::Chunk::Builder::Builder(std::size_t reserve)
 {
     words_.reserve(reserve);
@@ -75,8 +64,8 @@ InstTrace::Chunk::Builder::finish() const
     c->nextPcCount = nextPcs_.size();
     c->effAddrCount = effAddrs_.size();
     Layout l = c->layout();
-    // Value-initialised, so alignment padding is zero and a saved
-    // block is a deterministic function of the records.
+    // Value-initialised, so alignment padding is zero and the block
+    // is a deterministic function of the records.
     c->owned = std::make_unique<unsigned char[]>(l.bytes);
     unsigned char *base = c->owned.get();
     auto put = [](unsigned char *dst, const auto &column) {
@@ -88,7 +77,10 @@ InstTrace::Chunk::Builder::finish() const
     put(base + l.nonSeq, nonSeq_);
     put(base + l.nextPc, nextPcs_);
     put(base + l.effAddr, effAddrs_);
-    c->bind(base);
+    c->word = reinterpret_cast<const std::uint32_t *>(base);
+    c->nonSeq = reinterpret_cast<const std::uint64_t *>(base + l.nonSeq);
+    c->nextPc = reinterpret_cast<const Addr *>(base + l.nextPc);
+    c->effAddr = reinterpret_cast<const Addr *>(base + l.effAddr);
     return c;
 }
 
@@ -117,36 +109,6 @@ InstTrace::outputPrefix(InstSeq max_insts) const
             ? 0
             : static_cast<std::size_t>(std::prev(it)->bytes);
     return output_.substr(0, len);
-}
-
-std::shared_ptr<const InstTrace>
-InstTrace::fromParts(Parts &&parts)
-{
-    auto trace = std::shared_ptr<InstTrace>(new InstTrace());
-    InstSeq total = 0;
-    for (std::size_t i = 0; i < parts.chunks.size(); ++i) {
-        const auto &c = parts.chunks[i];
-        panic_if(!c || !c->word || c->count == 0,
-                 "InstTrace::fromParts: unbound or empty chunk");
-        panic_if(i + 1 < parts.chunks.size() &&
-                     c->count != kChunkRecords,
-                 "InstTrace::fromParts: chunk %zu holds %zu records, "
-                 "not %llu",
-                 i, c->count,
-                 static_cast<unsigned long long>(kChunkRecords));
-        total += c->count;
-    }
-    panic_if(total != parts.length,
-             "InstTrace::fromParts: chunks cover %llu records, "
-             "expected %llu",
-             static_cast<unsigned long long>(total),
-             static_cast<unsigned long long>(parts.length));
-    trace->chunks_ = std::move(parts.chunks);
-    trace->length_ = parts.length;
-    trace->halted_ = parts.halted;
-    trace->output_ = std::move(parts.output);
-    trace->outputMarks_ = std::move(parts.outputMarks);
-    return trace;
 }
 
 std::shared_ptr<const InstTrace::Chunk>

@@ -8,9 +8,8 @@
  * once by a single FuncSim run and then shared read-only between any
  * number of consumers, on any thread, via std::shared_ptr.
  *
- * Each 4096-record chunk stores the stream in one compact layout, the
- * same in memory and in a trace file (func/trace_file.hh): the raw
- * instruction words (4 B each), a bitmask with one bit per record set
+ * Each 4096-record chunk stores the stream in one compact layout: the
+ * raw instruction words (4 B each), a bitmask with one bit per record set
  * when nextPc != pc + 4, the nextPc of just those records, and the
  * effAddr of just the memory ops, back to back in one 8-byte-aligned
  * block. The first pc sits beside the block; every later pc is the
@@ -21,11 +20,7 @@
  * Chunks are individually reference counted so a consumer that has
  * advanced past a chunk can drop its reference and let the memory go
  * as soon as every other holder has too — the same
- * compute-once-and-broadcast shape the paper applies to operands. A
- * captured chunk owns its block; a chunk loaded from a trace file
- * borrows it straight out of a read-only file mapping, with
- * `backing` keeping the mapping alive until the last borrowed chunk
- * is released — so loading a multi-GB trace never copies a record.
+ * compute-once-and-broadcast shape the paper applies to operands.
  */
 
 #ifndef DSCALAR_FUNC_INST_TRACE_HH
@@ -57,8 +52,7 @@ class InstTrace
     /**
      * One block of consecutive dynamic instructions in the compact
      * layout (see the file comment). The column views are the read
-     * interface; they point into `owned` for a captured chunk and
-     * into `backing`'s file mapping for a loaded one. A chunk is
+     * interface; they point into the chunk's own block. A chunk is
      * immutable once built.
      */
     struct Chunk
@@ -84,10 +78,8 @@ class InstTrace
         const Addr *nextPc = nullptr;
         const Addr *effAddr = nullptr;
 
-        /** Owned block (captured chunks); null when borrowed. */
+        /** The block the column views point into. */
         std::unique_ptr<unsigned char[]> owned;
-        /** Keep-alive for a block borrowed from a file mapping. */
-        std::shared_ptr<const void> backing;
 
         std::size_t size() const { return count; }
         Layout
@@ -95,14 +87,8 @@ class InstTrace
         {
             return layout(count, nextPcCount, effAddrCount);
         }
-        /** Owned heap payload; a borrowed block costs no heap. */
-        std::size_t bytes() const { return owned ? layout().bytes : 0; }
-        /** True when the block lives in a file mapping. */
-        bool borrowed() const { return backing != nullptr; }
-
-        /** Aim the column views at @p block, laid out by layout()
-         *  for this chunk's counts. */
-        void bind(const void *block);
+        /** Heap payload of the block. */
+        std::size_t bytes() const { return layout().bytes; }
 
         class Cursor;
         class Builder;
@@ -138,21 +124,6 @@ class InstTrace
     captureChunk(FuncSim &sim, InstSeq first_seq, InstSeq records,
                  std::vector<OutputMark> *marks = nullptr);
 
-    /** Everything a loader must supply to rebuild a trace. */
-    struct Parts
-    {
-        std::vector<std::shared_ptr<const Chunk>> chunks;
-        InstSeq length = 0;
-        bool halted = false;
-        std::string output;
-        std::vector<OutputMark> outputMarks; ///< ascending seq
-    };
-
-    /** Reassemble a trace from loader-built parts (trace_file.cc).
-     *  Every chunk but the last holds kChunkRecords records, and the
-     *  chunks sum to @p parts.length records. */
-    static std::shared_ptr<const InstTrace> fromParts(Parts &&parts);
-
     /** Number of captured records. */
     InstSeq length() const { return length_; }
 
@@ -185,9 +156,7 @@ class InstTrace
         return chunks_[index];
     }
 
-    /** Approximate heap footprint of the captured payload in bytes
-     *  (borrowed chunks count only their bookkeeping — their pages
-     *  belong to the shared file mapping). */
+    /** Approximate heap footprint of the captured payload in bytes. */
     std::size_t memoryBytes() const;
 
     /**

@@ -23,11 +23,7 @@ namespace serve {
 
 namespace kv = common::kv;
 
-Server::Server(ServerConfig cfg) : cfg_(std::move(cfg))
-{
-    if (!cfg_.traceDir.empty())
-        cache_.setTraceDir(cfg_.traceDir);
-}
+Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {}
 
 Server::~Server()
 {
@@ -245,10 +241,6 @@ Server::handleRun(std::istream &in)
     req.spans = nullptr; // admitAndRun attaches the per-request one
     req.traceToStderr = false;
     req.flightRecorder = true;
-    // The daemon's persistent store is set by --trace-dir alone; a
-    // remote client must not redirect it (or make runOne sidestep
-    // the shared cache with a private one).
-    req.traceDir.clear();
 
     if (!req.perfettoPath.empty()) {
         if (cfg_.outputDir.empty())
@@ -426,11 +418,6 @@ renderMetricsText(const ServerStats &s)
                "Trace acquires served from cache.", s.traceHits);
     emitMetric(os, "dsserve_trace_bytes", "gauge",
                "Bytes held across cached traces.", s.traceBytes);
-    emitMetric(os, "dsserve_trace_disk_hits_total", "counter",
-               "Cache misses served from the trace store.",
-               s.traceDiskHits);
-    emitMetric(os, "dsserve_trace_disk_writes_total", "counter",
-               "Trace files written to the store.", s.traceDiskWrites);
     emitMetric(os, "dsserve_resident_bytes", "gauge",
                "Process resident memory now (VmRSS).", s.residentBytes);
     emitMetric(os, "dsserve_resident_peak_bytes", "gauge",
@@ -495,8 +482,6 @@ Server::stats() const
     out.traceCaptures = cache_.captures();
     out.traceHits = cache_.hits();
     out.traceBytes = cache_.memoryBytes();
-    out.traceDiskHits = cache_.diskHits();
-    out.traceDiskWrites = cache_.diskWrites();
     return out;
 }
 
@@ -533,10 +518,6 @@ Server::statsJson() const
                     "acquires served from cache");
     snap.addCounter(cache, "bytes", s.traceBytes,
                     "bytes held across cached traces");
-    snap.addCounter(cache, "disk_hits", s.traceDiskHits,
-                    "misses served from the trace store");
-    snap.addCounter(cache, "disk_writes", s.traceDiskWrites,
-                    "trace files written to the store");
     auto &latency = snap.addGroup("latency", "latency:");
     snap.addHistogram(latency, "request_latency_us", s.latencyUs,
                       "end-to-end request latency (completed runs)");

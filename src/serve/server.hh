@@ -66,12 +66,6 @@ struct ServerConfig
      *  a `perfetto` key are rejected when empty. The requested path's
      *  basename lands in this directory (no traversal). */
     std::string outputDir;
-    /** Persistent trace store directory ("" = off): the process-wide
-     *  TraceCache mmap-loads stored traces on miss and writes fresh
-     *  captures back, so a restarted daemon starts warm. Wire
-     *  requests cannot point the store elsewhere — any `trace_dir`
-     *  key they carry is scrubbed. */
-    std::string traceDir;
     /** Test-only: hold each simulation this long before it runs, so
      *  overload/drain tests can pin requests in flight. */
     unsigned testHoldMillis = 0;
@@ -103,8 +97,6 @@ struct ServerStats
     std::uint64_t traceCaptures = 0;   ///< TraceCache::captures()
     std::uint64_t traceHits = 0;       ///< TraceCache::hits()
     std::uint64_t traceBytes = 0;      ///< TraceCache::memoryBytes()
-    std::uint64_t traceDiskHits = 0;   ///< TraceCache::diskHits()
-    std::uint64_t traceDiskWrites = 0; ///< TraceCache::diskWrites()
     /** Process resident bytes now and at peak (VmRSS, VmHWM); read
      *  only when an op = metrics request is served, else 0. */
     std::uint64_t residentBytes = 0;

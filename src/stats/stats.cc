@@ -84,29 +84,6 @@ Histogram::merge(const Histogram &other)
     sum_ += other.sum_;
 }
 
-std::uint64_t
-Histogram::percentileUpperBound(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    std::uint64_t rank = static_cast<std::uint64_t>(q * count_);
-    if (rank == 0)
-        rank = 1;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen >= rank)
-            return (i + 1) * bucketWidth_;
-    }
-    // The quantile landed in the overflow bucket: all we know is "at
-    // least the histogram range".
-    return buckets_.size() * bucketWidth_;
-}
-
 void
 Histogram::dump(std::ostream &os) const
 {

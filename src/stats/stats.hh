@@ -142,15 +142,6 @@ class Histogram : public StatBase
      *  live histograms into owning Snapshots. */
     void merge(const Histogram &other);
 
-    /**
-     * Upper bound of the bucket where the cumulative count first
-     * reaches quantile @p q in [0,1] — a conservative percentile
-     * estimate, at most one bucket width above the true value.
-     * Overflow samples report the histogram's upper range. 0 when
-     * empty.
-     */
-    std::uint64_t percentileUpperBound(double q) const;
-
     std::uint64_t count() const { return count_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
     double sum() const { return sum_; }

@@ -67,32 +67,5 @@ Table::print(std::ostream &os) const
         print_row(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&os](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            const std::string &cell = row[c];
-            if (cell.find_first_of(",\"\n") != std::string::npos) {
-                os << '"';
-                for (char ch : cell) {
-                    if (ch == '"')
-                        os << '"';
-                    os << ch;
-                }
-                os << '"';
-            } else {
-                os << cell;
-            }
-        }
-        os << '\n';
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace stats
 } // namespace dscalar

@@ -30,10 +30,6 @@ class Table
 
     void print(std::ostream &os) const;
 
-    /** Machine-readable output (cells quoted when they contain a
-     *  comma or quote). */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -57,7 +57,7 @@ runDsfuzz(const std::string &args)
 
 TEST(DsfuzzCli, CleanCampaignExitsZero)
 {
-    CliResult res = runDsfuzz("--runs=2 --seed=1 --trace-dir=");
+    CliResult res = runDsfuzz("--runs=2 --seed=1");
     EXPECT_EQ(res.exitCode, 0) << res.output;
     EXPECT_NE(res.output.find("OK:"), std::string::npos)
         << res.output;
@@ -68,7 +68,7 @@ TEST(DsfuzzCli, TimeBudgetExitsZero)
     // A huge run count with a tiny budget: the campaign must stop at
     // the budget check, report it, and still exit clean.
     CliResult res = runDsfuzz(
-        "--runs=1000000 --time-budget=0.05 --seed=1 --trace-dir=");
+        "--runs=1000000 --time-budget=0.05 --seed=1");
     EXPECT_EQ(res.exitCode, 0) << res.output;
     EXPECT_NE(res.output.find("time budget reached"),
               std::string::npos)
@@ -77,9 +77,13 @@ TEST(DsfuzzCli, TimeBudgetExitsZero)
 
 TEST(DsfuzzCli, BadFlagExitsTwo)
 {
-    CliResult res = runDsfuzz("--wibble");
-    EXPECT_EQ(res.exitCode, 2) << res.output;
-    EXPECT_NE(res.output.find("usage:"), std::string::npos);
+    // --trace-dir named the removed persistent trace store.
+    for (const char *args : {"--wibble", "--trace-dir=x"}) {
+        CliResult res = runDsfuzz(args);
+        EXPECT_EQ(res.exitCode, 2) << args << ": " << res.output;
+        EXPECT_NE(res.output.find("usage:"), std::string::npos)
+            << args;
+    }
 }
 
 TEST(DsfuzzCli, UnknownMutationExitsTwo)
@@ -126,7 +130,7 @@ TEST(DsfuzzCli, MutationCampaignWritesCommentedRepro)
         ::testing::TempDir() + "/dsfuzz_cli_mutation_repro.txt";
     CliResult res = runDsfuzz(
         "--mutate=squash-pending-lost --runs=20 --seed=1 "
-        "--trace-dir= --repro-out=" + repro);
+        "--repro-out=" + repro);
     ASSERT_EQ(res.exitCode, 1) << res.output;
     EXPECT_NE(res.output.find("repro written"), std::string::npos);
 

@@ -121,6 +121,18 @@ TEST(DsServe, PingStatsAndUnknownOp)
     EXPECT_NE(bad.error.find("unknown op"), std::string::npos)
         << bad.error;
 
+    // `trace_dir` named the removed persistent trace store: a run
+    // request carrying it is refused as an unknown key.
+    ASSERT_TRUE(serve::writeAll(
+        fd, "workload = go_s\nmax_insts = 2000\ntrace_dir = x\n\n"));
+    ASSERT_EQ(reader.readBlock(block, 4096),
+              serve::BlockReader::Status::Block);
+    ASSERT_TRUE(serve::parseReplyHeader(block, bad));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("unknown key 'trace_dir'"),
+              std::string::npos)
+        << bad.error;
+
     ASSERT_TRUE(serve::writeAll(fd, "op = ping\n\n"));
     ASSERT_EQ(reader.readBlock(block, 4096),
               serve::BlockReader::Status::Block);

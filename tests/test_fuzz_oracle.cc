@@ -49,45 +49,30 @@ TEST(FuzzOracle, CrossChecksRunExtraTimingRuns)
     EXPECT_EQ(oracle.stats().timingRuns, 3u);
 }
 
-TEST(FuzzOracle, DiskReplayDifferentialPasses)
+TEST(FuzzOracle, SampledConfigStreamIsPinned)
 {
+    // sampleConfig still makes, and throws away, the draws that once
+    // chose a disk-replay differential and a tick-thread count, so
+    // each seed keeps exploring the configs it explored before those
+    // features were deleted. Dropping a draw shifts every later one.
+    const char *expected[] = {
+        "system=datascalar nodes=2 interconnect=bus "
+        "dcache=1024B/4way/wa ed=1 xed=1 xreplay=0 faults=1 "
+        "hardbshr=0 bshrcap=128 maxinsts=0 faultseed=697",
+        "system=datascalar nodes=4 interconnect=ring "
+        "dcache=1024B/4way/wa ed=1 xed=0 xreplay=0 faults=0 "
+        "hardbshr=0 bshrcap=8 maxinsts=4901 faultseed=302",
+        "system=datascalar nodes=3 interconnect=bus "
+        "dcache=65536B/2way ed=1 xed=0 xreplay=0 faults=0 "
+        "hardbshr=0 bshrcap=128 maxinsts=5822 faultseed=659",
+        "system=datascalar nodes=3 interconnect=bus "
+        "dcache=16384B/4way ed=0 xed=0 xreplay=0 faults=0 "
+        "hardbshr=0 bshrcap=128 maxinsts=5076 faultseed=129",
+    };
     check::Oracle oracle;
-    check::ProgramGen gen(oracle.genParams());
-    prog::Program p = gen.generate(13);
-    check::GoldenRun golden = check::runGolden(p);
-
-    check::TrialConfig config;
-    config.traceDir = ::testing::TempDir() + "/fuzz_oracle_store";
-    EXPECT_EQ(oracle.checkConfig(p, golden, config), "");
-    // One live run + one disk-loaded replay.
-    EXPECT_EQ(oracle.stats().timingRuns, 2u);
-}
-
-TEST(FuzzOracle, TraceDirSamplingKeepsStreamAligned)
-{
-    // Setting OracleOptions::traceDir must only add the traceDir
-    // field to some sampled configs — the rest of the matrix a seed
-    // explores has to stay byte-identical, or existing repro seeds
-    // would silently start exercising different configs.
-    check::OracleOptions with;
-    with.traceDir = "store";
-    check::Oracle plain;
-    check::Oracle stored(with);
-    Random ra(99), rb(99);
-    bool sampled = false;
-    for (int i = 0; i < 64; ++i) {
-        check::TrialConfig ca = plain.sampleConfig(ra);
-        check::TrialConfig cb = stored.sampleConfig(rb);
-        EXPECT_TRUE(ca.traceDir.empty());
-        if (!cb.traceDir.empty()) {
-            sampled = true;
-            EXPECT_EQ(cb.traceDir, "store");
-        }
-        cb.traceDir.clear();
-        EXPECT_EQ(check::describeConfig(ca),
-                  check::describeConfig(cb));
-    }
-    EXPECT_TRUE(sampled);
+    Random rng(99);
+    for (const char *want : expected)
+        EXPECT_EQ(check::describeConfig(oracle.sampleConfig(rng)), want);
 }
 
 TEST(FuzzOracle, FlagsFaultInjectionWithoutRecovery)
@@ -277,8 +262,6 @@ TEST(FuzzRepro, FormatParseRoundTrip)
     r.config.bshrCapacity = 16;
     r.config.maxInsts = 12345;
     r.config.faultSeed = 99;
-    // A path with spaces rides on the kv quoting layer.
-    r.config.traceDir = "/tmp/fuzz trace store";
     r.mismatch = "output divergence: 3 bytes vs golden 5 bytes";
 
     std::istringstream in(check::formatRepro(r));
@@ -301,7 +284,6 @@ TEST(FuzzRepro, FormatParseRoundTrip)
     EXPECT_EQ(back.config.bshrCapacity, 16u);
     EXPECT_EQ(back.config.maxInsts, 12345u);
     EXPECT_EQ(back.config.faultSeed, 99u);
-    EXPECT_EQ(back.config.traceDir, "/tmp/fuzz trace store");
     EXPECT_EQ(back.mismatch, r.mismatch);
 }
 
@@ -356,6 +338,17 @@ TEST(FuzzRepro, ParseRejectsMalformedInput)
     std::istringstream bad_key("seed = 1\nwibble = 3\n");
     EXPECT_FALSE(check::parseRepro(bad_key, out, error));
     EXPECT_NE(error.find("wibble"), std::string::npos);
+
+    // Repro files once carried the removed trace store's directory,
+    // usually empty; such a line is now an unknown key at its line.
+    for (const char *line : {"trace_dir =", "trace_dir = x"}) {
+        std::istringstream old_key("seed = 1\nnodes = 2\n" +
+                                   std::string(line) + "\n");
+        EXPECT_FALSE(check::parseRepro(old_key, out, error)) << line;
+        EXPECT_NE(error.find("line 3: unknown key 'trace_dir'"),
+                  std::string::npos)
+            << error;
+    }
 
     std::istringstream bad_value("seed = 1\nnodes = banana\n");
     EXPECT_FALSE(check::parseRepro(bad_value, out, error));

@@ -85,14 +85,6 @@ TEST(MetricsText, GoldenExposition)
         "# HELP dsserve_trace_bytes Bytes held across cached traces.\n"
         "# TYPE dsserve_trace_bytes gauge\n"
         "dsserve_trace_bytes 4096\n"
-        "# HELP dsserve_trace_disk_hits_total Cache misses served "
-        "from the trace store.\n"
-        "# TYPE dsserve_trace_disk_hits_total counter\n"
-        "dsserve_trace_disk_hits_total 0\n"
-        "# HELP dsserve_trace_disk_writes_total Trace files written "
-        "to the store.\n"
-        "# TYPE dsserve_trace_disk_writes_total counter\n"
-        "dsserve_trace_disk_writes_total 0\n"
         "# HELP dsserve_resident_bytes Process resident memory now "
         "(VmRSS).\n"
         "# TYPE dsserve_resident_bytes gauge\n"

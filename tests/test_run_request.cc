@@ -5,7 +5,8 @@
  * subset), key-level error reporting, the recovery-default finalize
  * rule, the optional-returning name parsers, and equivalence of the
  * legacy driver entry points (runSystem, runSweep) with the
- * runOne/runMany core they now wrap.
+ * runOne/runMany core they now wrap, and the Figure 7 table's use of
+ * its base request.
  */
 
 #include <gtest/gtest.h>
@@ -79,7 +80,6 @@ nonDefaultRequest()
     req.sampleInterval = 500;
     req.profile = true;
     req.perfettoPath = "trace.json";
-    req.traceDir = "traces";
     return req;
 }
 
@@ -111,7 +111,6 @@ TEST(RunRequestFormat, ParseIsExactInverse)
     EXPECT_EQ(parsed.sampleInterval, 500u);
     EXPECT_TRUE(parsed.profile);
     EXPECT_EQ(parsed.perfettoPath, "trace.json");
-    EXPECT_EQ(parsed.traceDir, "traces");
 }
 
 TEST(RunRequestFormat, PathValuesRideTheQuotingLayer)
@@ -122,7 +121,6 @@ TEST(RunRequestFormat, PathValuesRideTheQuotingLayer)
     driver::RunRequest req;
     req.workload = "go_s";
     req.perfettoPath = " out dir/trace.json ";
-    req.traceDir = "/var/cache/ds traces/";
     std::string text = driver::formatRunRequest(req);
 
     std::istringstream in(text);
@@ -130,7 +128,6 @@ TEST(RunRequestFormat, PathValuesRideTheQuotingLayer)
     std::string error;
     ASSERT_TRUE(driver::parseRunRequest(in, parsed, error)) << error;
     EXPECT_EQ(parsed.perfettoPath, " out dir/trace.json ");
-    EXPECT_EQ(parsed.traceDir, "/var/cache/ds traces/");
     EXPECT_EQ(driver::formatRunRequest(parsed), text);
 }
 
@@ -168,8 +165,9 @@ TEST(RunRequestParse, Errors)
     EXPECT_FALSE(driver::parseRunRequest(empty, req, error));
     EXPECT_NE(error.find("empty request"), std::string::npos) << error;
 
-    // `tick_threads` named the removed per-node parallel loop.
-    for (const char *key : {"bogus", "tick_threads"}) {
+    // `tick_threads` named the removed per-node parallel loop, and
+    // `trace_dir` the removed persistent trace store.
+    for (const char *key : {"bogus", "tick_threads", "trace_dir"}) {
         std::istringstream unknown("workload = go_s\n" +
                                    std::string(key) + " = 1\n\n");
         EXPECT_FALSE(driver::parseRunRequest(unknown, req, error));
@@ -383,6 +381,64 @@ TEST(RunOne, WarmCacheStatsJsonByteIdentical)
     EXPECT_EQ(cold.statsJson(), warm.statsJson());
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.captures(), 1u);
+}
+
+/** The Figure 7 table takes every run flag from its base request:
+ *  a ring base gives the rows runOne gives on the same ring
+ *  requests, not the paper's bus rows. */
+TEST(Fig7Table, RingBaseMatchesRunOne)
+{
+    driver::RunRequest base;
+    base.config.maxInsts = 3000;
+    base.config.interconnect = core::InterconnectKind::Ring;
+
+    std::vector<std::string> cells{"go_s"};
+    std::vector<double> ipc;
+    for (auto [system, nodes] :
+         {std::pair{driver::SystemKind::Perfect, 2u},
+          {driver::SystemKind::DataScalar, 2u},
+          {driver::SystemKind::DataScalar, 4u},
+          {driver::SystemKind::Traditional, 2u},
+          {driver::SystemKind::Traditional, 4u}}) {
+        driver::RunRequest req = base;
+        req.workload = "go_s";
+        req.system = system;
+        req.config.numNodes = nodes;
+        driver::RunResponse resp = driver::runOne(req);
+        ASSERT_TRUE(resp.ok()) << resp.error;
+        ipc.push_back(resp.result.ipc);
+        cells.push_back(stats::Table::num(resp.result.ipc, 3));
+    }
+    cells.push_back(stats::Table::num(ipc[1] / ipc[3], 2));
+    cells.push_back(stats::Table::num(ipc[2] / ipc[4], 2));
+    stats::Table expected({"benchmark", "perfect", "DS-2", "DS-4",
+                           "trad-1/2", "trad-1/4", "DS2/trad2",
+                           "DS4/trad4"});
+    expected.addRow(cells);
+
+    auto render = [](const stats::Table &t) {
+        std::ostringstream os;
+        t.print(os);
+        return os.str();
+    };
+    std::string ring = render(driver::fig7IpcTable({"go_s"}, base, 2));
+    EXPECT_EQ(ring, render(expected));
+
+    driver::RunRequest bus = base;
+    bus.config.interconnect = core::InterconnectKind::Bus;
+    EXPECT_NE(ring, render(driver::fig7IpcTable({"go_s"}, bus, 2)));
+}
+
+TEST(Fig7Table, FailedPointIsReturned)
+{
+    driver::RunRequest base;
+    base.config.maxInsts = 2000;
+    base.config.bshrHardCapacity = true; // no recovery: refused
+    std::string error;
+    driver::fig7IpcTable({"go_s"}, base, 1, &error);
+    EXPECT_NE(error.find("go_s datascalar-2: bshr_hard"),
+              std::string::npos)
+        << error;
 }
 
 } // namespace

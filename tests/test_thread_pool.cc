@@ -77,9 +77,12 @@ TEST(SweepDeterminism, ParallelMatchesSerialByteForByte)
     const std::vector<std::string> names{"compress_s", "go_s"};
     constexpr InstSeq kBudget = 8000;
 
+    driver::RunRequest base;
+    base.config.maxInsts = kBudget;
+
     auto render = [&](unsigned jobs) {
         std::ostringstream ss;
-        driver::fig7IpcTable(names, kBudget, jobs).print(ss);
+        driver::fig7IpcTable(names, base, jobs).print(ss);
         return ss.str();
     };
 

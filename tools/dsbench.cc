@@ -24,8 +24,7 @@
  *
  * Usage:
  *   dsbench [--socket=PATH] [--spawn=DSSERVE] [--requests=N]
- *           [--connections=N] [--max-insts=N] [--trace-dir=DIR]
- *           [--expect-no-captures] [--smoke] [--shutdown]
+ *           [--connections=N] [--max-insts=N] [--smoke] [--shutdown]
  *           [--watch[=MS]] [--watch-count=N]
  *
  * Options:
@@ -37,13 +36,6 @@
  *   --watch-count=N   stop watching after N polls (0 = until done)
  *   --spawn=DSSERVE   fork/exec this dsserve binary on --socket,
  *                     bench it, then shut it down and reap it
- *   --trace-dir=DIR   pass a persistent trace store to the spawned
- *                     daemon (--spawn only) and report its disk
- *                     hit/write counters
- *   --expect-no-captures  fail unless the daemon served the whole
- *                     bench with 0 functional captures and > 0 trace
- *                     store disk hits (the warm-restart acceptance
- *                     check: run the bench twice on one --trace-dir)
  *   --requests=N      total requests across all connections
  *                     (default 1000)
  *   --connections=N   concurrent client connections (default 16)
@@ -84,7 +76,6 @@ usage()
         stderr,
         "usage: dsbench [--socket=PATH] [--spawn=DSSERVE] [--requests=N]"
         "\n               [--connections=N] [--max-insts=N]"
-        "\n               [--trace-dir=DIR] [--expect-no-captures]"
         "\n               [--smoke] [--shutdown]"
         "\n               [--watch[=MS]] [--watch-count=N]\n");
     return 2;
@@ -385,8 +376,6 @@ main(int argc, char **argv)
     std::uint64_t total_requests = 1000;
     std::uint64_t connections = 16;
     std::uint64_t budget = 10000;
-    std::string trace_dir;
-    bool expect_no_captures = false;
     bool shutdown_only = false;
     bool watch = false;
     std::uint64_t watch_interval_ms = 500;
@@ -401,8 +390,6 @@ main(int argc, char **argv)
             budget = 2000;
         } else if (arg == "--shutdown") {
             shutdown_only = true;
-        } else if (arg == "--expect-no-captures") {
-            expect_no_captures = true;
         } else if (arg == "--watch") {
             watch = true;
         } else if (flagValue(arg, "--watch", value)) {
@@ -413,8 +400,6 @@ main(int argc, char **argv)
         } else if (flagValue(arg, "--watch-count", value)) {
             if (!common::kv::parseU64(value, watch_count))
                 return usage();
-        } else if (flagValue(arg, "--trace-dir", value)) {
-            trace_dir = value;
         } else if (flagValue(arg, "--socket", value)) {
             socket_path = value;
         } else if (flagValue(arg, "--spawn", value)) {
@@ -458,14 +443,8 @@ main(int argc, char **argv)
         }
         if (daemon == 0) {
             std::string socket_arg = "--socket=" + socket_path;
-            std::string trace_arg = "--trace-dir=" + trace_dir;
-            if (trace_dir.empty())
-                execl(spawn_path.c_str(), spawn_path.c_str(),
-                      socket_arg.c_str(), (char *)nullptr);
-            else
-                execl(spawn_path.c_str(), spawn_path.c_str(),
-                      socket_arg.c_str(), trace_arg.c_str(),
-                      (char *)nullptr);
+            execl(spawn_path.c_str(), spawn_path.c_str(),
+                  socket_arg.c_str(), (char *)nullptr);
             std::perror("dsbench: exec dsserve");
             _exit(127);
         }
@@ -543,7 +522,6 @@ main(int argc, char **argv)
 
     std::uint64_t server_hits = 0, server_captures = 0;
     std::uint64_t server_requests = 0, server_completed = 0;
-    std::uint64_t disk_hits = 0, disk_writes = 0;
     {
         serve::Client client;
         std::string error;
@@ -558,10 +536,6 @@ main(int argc, char **argv)
                                server_requests);
                 extractCounter(stats.json, "server", "completed",
                                server_completed);
-                extractCounter(stats.json, "trace_cache", "disk_hits",
-                               disk_hits);
-                extractCounter(stats.json, "trace_cache",
-                               "disk_writes", disk_writes);
             }
         }
     }
@@ -602,9 +576,6 @@ main(int argc, char **argv)
                 (unsigned long long)bench.clientCacheHits,
                 (unsigned long long)server_hits,
                 (unsigned long long)server_captures);
-    std::printf("  trace store: disk hits %llu, disk writes %llu\n",
-                (unsigned long long)disk_hits,
-                (unsigned long long)disk_writes);
     std::printf("  server: requests %llu, completed %llu\n",
                 (unsigned long long)server_requests,
                 (unsigned long long)server_completed);
@@ -620,15 +591,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "dsbench: FAIL: server reported no trace-cache "
                      "hits\n");
-        return 1;
-    }
-    if (expect_no_captures &&
-        (server_captures != 0 || disk_hits == 0)) {
-        std::fprintf(stderr,
-                     "dsbench: FAIL: expected a warm trace store "
-                     "(captures %llu, disk hits %llu)\n",
-                     (unsigned long long)server_captures,
-                     (unsigned long long)disk_hits);
         return 1;
     }
     std::uint64_t client_completed = total_requests - bench.failures;

@@ -33,35 +33,22 @@
  * Usage:
  *   dsfuzz [--runs=N] [--seed=S] [--time-budget=SECONDS]
  *          [--configs-per-trial=N] [--repro-out=FILE] [--quiet]
- *          [--trace-dir=DIR] [--coverage[=observe]] [--ngram=K]
- *          [--mutate=NAME]
+ *          [--coverage[=observe]] [--ngram=K] [--mutate=NAME]
  *   dsfuzz --model [--model-nodes=N] [--model-lines=L]
  *          [--model-episodes=E] [--model-faults] [--model-depth=D]
  *          [--mutate=NAME] [--runs=N] [--seed=S]
  *   dsfuzz --repro=FILE          replay a saved repro case
  *
- * A fraction of sampled configs additionally round-trip the golden
- * trace through the persistent trace store (func/trace_file.hh) and
- * replay the disk-loaded copy, requiring results identical to the
- * live run. By default the store is a private pid-suffixed directory
- * under $TMPDIR, created lazily on first use and cleaned up when the
- * campaign passes or is interrupted; --trace-dir=DIR keeps the files
- * somewhere durable, and --trace-dir= (empty) disables the
- * differential.
- *
  * Exit status: 0 = every trial passed / model safe (or a replayed
  * repro no longer fails), 1 = a mismatch or counterexample was found
  * (repro written / reproduced), 2 = usage or file error, 130 =
- * interrupted (SIGINT/SIGTERM; private trace store cleaned up).
+ * interrupted (SIGINT/SIGTERM).
  */
 
-#include <dirent.h>
 #include <signal.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -89,8 +76,6 @@ struct Options
     unsigned configsPerTrial = 2;
     std::string reproIn;
     std::string reproOut = "dsfuzz-repro.txt";
-    std::string traceDir;
-    bool traceDirSet = false; ///< --trace-dir= given (maybe empty)
     bool quiet = false;
 
     CoverageMode coverage = CoverageMode::Off;
@@ -114,8 +99,8 @@ onSignal(int)
 }
 
 /** Graceful stop on the first SIGINT/SIGTERM (loops poll the flag
- *  and clean up the private trace store); a second signal falls back
- *  to the default disposition and kills the process. */
+ *  and stop between trials); a second signal falls back to the
+ *  default disposition and kills the process. */
 void
 installSignalHandlers()
 {
@@ -143,8 +128,8 @@ usage()
         stderr,
         "usage: dsfuzz [--runs=N] [--seed=S] [--time-budget=SECONDS]"
         "\n              [--configs-per-trial=N] [--repro-out=FILE]"
-        "\n              [--trace-dir=DIR] [--coverage[=observe]]"
-        "\n              [--ngram=K] [--mutate=NAME] [--quiet]"
+        "\n              [--coverage[=observe]] [--ngram=K]"
+        "\n              [--mutate=NAME] [--quiet]"
         "\n       dsfuzz --model [--model-nodes=N] [--model-lines=L]"
         "\n              [--model-episodes=E] [--model-faults]"
         "\n              [--model-depth=D] [--mutate=NAME]"
@@ -171,25 +156,6 @@ elapsedSeconds(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/** Remove a private trace-store directory: every *.dstrace file in
- *  it, then the directory itself (best effort — a shared or
- *  user-provided directory is never passed here). */
-void
-removeTraceStore(const std::string &dir)
-{
-    DIR *d = ::opendir(dir.c_str());
-    if (!d)
-        return;
-    while (struct dirent *e = ::readdir(d)) {
-        std::string name = e->d_name;
-        if (name.size() > 8 &&
-            name.compare(name.size() - 8, 8, ".dstrace") == 0)
-            ::unlink((dir + "/" + name).c_str());
-    }
-    ::closedir(d);
-    ::rmdir(dir.c_str());
 }
 
 /** Print the failing run's flight-recorder dump, if any. */
@@ -485,7 +451,6 @@ mutateConfig(check::TrialConfig c, Random &rng)
     c.system = driver::SystemKind::DataScalar;
     c.crossReplay = false;
     c.crossEventDriven = false;
-    c.traceDir.clear();
     switch (rng.below(8)) {
       case 0:
       case 1: // new fault/delay interleaving, same everything else —
@@ -534,15 +499,6 @@ runCampaign(const Options &opt)
 {
     check::OracleOptions oopt;
     oopt.configsPerTrial = opt.configsPerTrial;
-    bool tempStore = !opt.traceDirSet;
-    if (tempStore) {
-        const char *tmp = std::getenv("TMPDIR");
-        oopt.traceDir = std::string(tmp && *tmp ? tmp : "/tmp") +
-                        "/dsfuzz-traces." +
-                        std::to_string(::getpid());
-    } else {
-        oopt.traceDir = opt.traceDir;
-    }
 
     check::CoverageMap map(opt.ngram);
     if (opt.coverage != CoverageMode::Off)
@@ -574,8 +530,6 @@ runCampaign(const Options &opt)
         if (g_interrupted) {
             std::printf("interrupted after %llu trials\n",
                         (unsigned long long)done);
-            if (tempStore)
-                removeTraceStore(oopt.traceDir);
             return 130;
         }
         if (opt.timeBudget > 0.0 &&
@@ -635,11 +589,6 @@ runCampaign(const Options &opt)
         }
     }
 
-    // A passing campaign leaves nothing behind; a failing one keeps
-    // its store so the written repro replays against the same files.
-    if (tempStore)
-        removeTraceStore(oopt.traceDir);
-
     const check::OracleStats &st = oracle.stats();
     if (opt.coverage != CoverageMode::Off)
         std::printf("coverage%s: %llu unique n-grams (k<=%u) over "
@@ -688,10 +637,6 @@ main(int argc, char **argv)
             opt.reproIn = value;
         else if (parseFlag(arg, "--repro-out", value))
             opt.reproOut = value;
-        else if (parseFlag(arg, "--trace-dir", value)) {
-            opt.traceDir = value;
-            opt.traceDirSet = true;
-        }
         else if (arg == "--coverage")
             opt.coverage = CoverageMode::Guided;
         else if (parseFlag(arg, "--coverage", value)) {

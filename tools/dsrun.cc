@@ -40,10 +40,6 @@
  *                      along as their own process track. FILE "-"
  *                      streams the JSON to stdout (human output
  *                      moves to stderr).
- *   --trace-dir=DIR    persistent trace store: mmap-load this run's
- *                      captured trace from DIR when a valid file is
- *                      there, else capture and save it for the next
- *                      process (docs/PERF.md "Persistent trace store")
  *   --trace            stream protocol events to stderr
  *   --fault-drop=P     drop each transmission with probability P
  *   --fault-dup=P      duplicate each transmission with probability P
@@ -55,7 +51,13 @@
  *                      are on, else recovery off)
  *   --bshr-hard        enforce BSHR capacity (stall + re-request)
  *   --sweep            run the Figure 7 sweep over the timing
- *                      workloads instead of one program
+ *                      workloads instead of one program; every point
+ *                      takes the run flags above, and the figure sets
+ *                      its system and node count. --system, a
+ *                      program, and flags that only shape one run's
+ *                      output (--stats, --stats-json,
+ *                      --sample-interval, --profile, --perfetto,
+ *                      --trace) are usage errors here.
  *   --no-trace-reuse   capture no shared traces: re-execute each
  *                      sweep point functionally (slower, identical
  *                      numbers)
@@ -90,14 +92,14 @@ usage()
         "\n             [--no-skip] [--stats] [--stats-json=FILE|-]"
         "\n             [--sample-interval=N] [--profile]"
         "\n             [--perfetto=FILE|-]"
-        "\n             [--trace-dir=DIR] [--trace]"
+        "\n             [--trace]"
         "\n             [--fault-drop=P] [--fault-dup=P]"
         "\n             [--fault-delay=P] [--fault-max-delay=N]"
         "\n             [--fault-seed=S] [--rerequest-timeout=N]"
         "\n             [--bshr-hard]"
         "\n             <program.s | workload-name>\n"
-        "       dsrun --sweep [--max-insts=N] [--jobs=N] "
-        "[--no-skip] [--no-trace-reuse]\n"
+        "       dsrun --sweep [--jobs=N] [--no-trace-reuse]"
+        " [run flags]\n"
         "       dsrun --list\n");
     return 2;
 }
@@ -172,7 +174,6 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     bool stats = false;
     bool sweep = false;
-    bool noTraceReuse = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -188,7 +189,7 @@ main(int argc, char **argv)
         } else if (arg == "--sweep") {
             sweep = true;
         } else if (arg == "--no-trace-reuse") {
-            noTraceReuse = true;
+            req.traceReuse = false;
         } else if (arg == "--ring") {
             req.config.interconnect = core::InterconnectKind::Ring;
         } else if (arg == "--no-skip") {
@@ -228,11 +229,21 @@ main(int argc, char **argv)
     }
 
     if (sweep) {
-        InstSeq budget =
-            req.config.maxInsts ? req.config.maxInsts : 100'000;
+        if (!target.empty() || system != "func" || stats ||
+            !statsJsonPath.empty() || req.sampleInterval ||
+            req.profile || !req.perfettoPath.empty() ||
+            req.traceToStderr)
+            return usage();
+        driver::finalizeRunRequest(req);
+        if (req.config.maxInsts == 0)
+            req.config.maxInsts = 100'000;
+        std::string error;
         stats::Table table = driver::fig7IpcTable(
-            workloads::timingWorkloadNames(), budget, jobs,
-            req.config.eventDriven, !noTraceReuse);
+            workloads::timingWorkloadNames(), req, jobs, &error);
+        if (!error.empty()) {
+            std::fprintf(stderr, "dsrun: %s\n", error.c_str());
+            return 2;
+        }
         table.print(std::cout);
         return 0;
     }

@@ -12,7 +12,7 @@
  * Usage:
  *   dsserve [--socket=PATH] [--jobs=N] [--max-queue=N]
  *           [--max-insts=N] [--max-request-bytes=N]
- *           [--output-dir=DIR] [--trace-dir=DIR]
+ *           [--output-dir=DIR]
  *
  * Options:
  *   --socket=PATH          socket path (default dsserve.sock; keep it
@@ -28,9 +28,6 @@
  *   --output-dir=DIR       directory for server-side Perfetto files;
  *                          requests with a perfetto key are rejected
  *                          when unset
- *   --trace-dir=DIR        persistent trace store: captured traces are
- *                          written here and mmap-loaded on later
- *                          misses, so a restarted daemon starts warm
  *
  * Stop it with a client `op = shutdown` request (e.g.
  * `dsbench --shutdown`): the daemon drains in-flight runs, replies,
@@ -55,7 +52,7 @@ usage()
         stderr,
         "usage: dsserve [--socket=PATH] [--jobs=N] [--max-queue=N]"
         "\n               [--max-insts=N] [--max-request-bytes=N]"
-        "\n               [--output-dir=DIR] [--trace-dir=DIR]\n");
+        "\n               [--output-dir=DIR]\n");
     return 2;
 }
 
@@ -96,8 +93,6 @@ main(int argc, char **argv)
             cfg.socketPath = value;
         } else if (flagValue(arg, "--output-dir", value)) {
             cfg.outputDir = value;
-        } else if (flagValue(arg, "--trace-dir", value)) {
-            cfg.traceDir = value;
         } else if (flagU64(arg, "--jobs", v, bad)) {
             cfg.jobs = static_cast<unsigned>(v);
         } else if (flagU64(arg, "--max-queue", v, bad)) {
@@ -129,8 +124,7 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "dsserve: shut down after %llu requests "
                  "(%llu completed, %llu rejected, trace cache "
-                 "%llu hits / %llu captures, store "
-                 "%llu disk hits / %llu writes)\n",
+                 "%llu hits / %llu captures)\n",
                  (unsigned long long)s.requests,
                  (unsigned long long)s.completed,
                  (unsigned long long)(s.rejectedParse +
@@ -138,8 +132,6 @@ main(int argc, char **argv)
                                       s.rejectedOverload +
                                       s.rejectedOversize),
                  (unsigned long long)s.traceHits,
-                 (unsigned long long)s.traceCaptures,
-                 (unsigned long long)s.traceDiskHits,
-                 (unsigned long long)s.traceDiskWrites);
+                 (unsigned long long)s.traceCaptures);
     return 0;
 }
