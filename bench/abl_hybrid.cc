@@ -79,10 +79,15 @@ main()
     // The single SPMD node only has 1/N of the machine's memory;
     // the honest comparison is against the traditional system with
     // 1/4 on-chip.
-    core::SimConfig q = cfg;
-    q.numNodes = 4;
-    core::RunResult trad = driver::runTraditional(comp, q);
-    core::RunResult ds = driver::runDataScalar(comp, q);
+    driver::RunRequest req;
+    req.workload = "compress_s";
+    req.config = cfg;
+    req.config.numNodes = 4;
+    driver::TraceCache cache;
+    req.system = driver::SystemKind::Traditional;
+    core::RunResult trad = bench::runOrExit(req, &cache);
+    req.system = driver::SystemKind::DataScalar;
+    core::RunResult ds = bench::runOrExit(req, &cache);
     std::printf("  all-memory-local single node (upper bound): "
                 "%llu cycles\n",
                 (unsigned long long)one.cycles);

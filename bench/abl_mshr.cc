@@ -15,7 +15,6 @@
 #include "bench/bench_util.hh"
 #include "driver/driver.hh"
 #include "stats/table.hh"
-#include "workloads/workloads.hh"
 
 using namespace dscalar;
 
@@ -27,19 +26,21 @@ main()
                   "DataScalar");
     InstSeq budget = bench::defaultBudget(150'000);
 
+    // Each workload is captured once and replayed by all six runs.
+    driver::TraceCache cache;
     for (const char *name : {"applu_s", "wave5_s", "compress_s"}) {
-        prog::Program p = workloads::findWorkload(name).build(1);
-        std::printf("-- %s --\n", p.name.c_str());
+        std::printf("-- %s --\n", name);
         stats::Table table({"MSHRs", "IPC", "vs-unlimited"});
 
-        core::SimConfig cfg = driver::paperConfig();
-        cfg.numNodes = 2;
-        cfg.maxInsts = budget;
-        double unlimited = driver::runDataScalar(p, cfg).ipc;
+        driver::RunRequest req;
+        req.workload = name;
+        req.config.numNodes = 2;
+        req.config.maxInsts = budget;
+        double unlimited = bench::runOrExit(req, &cache).ipc;
 
         for (unsigned mshrs : {1u, 2u, 4u, 8u, 16u}) {
-            cfg.core.maxOutstandingFills = mshrs;
-            core::RunResult r = driver::runDataScalar(p, cfg);
+            req.config.core.maxOutstandingFills = mshrs;
+            core::RunResult r = bench::runOrExit(req, &cache);
             table.addRow({std::to_string(mshrs),
                           stats::Table::num(r.ipc, 3),
                           stats::Table::num(r.ipc / unlimited, 2)});

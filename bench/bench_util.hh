@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "common/types.hh"
+#include "driver/run_request.hh"
 
 namespace dscalar {
 namespace bench {
@@ -54,6 +55,25 @@ benchJobs()
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
+}
+
+/**
+ * Run @p req, replaying @p cache's shared capture when one is given.
+ * A failed run prints its error and exits 1: a table with a missing
+ * point is not the experiment.
+ */
+inline core::RunResult
+runOrExit(const driver::RunRequest &req,
+          driver::TraceCache *cache = nullptr)
+{
+    driver::RunResponse resp = driver::runOne(req, cache);
+    if (!resp.ok()) {
+        std::fprintf(stderr, "%s run failed: %s\n",
+                     driver::systemKindName(req.system),
+                     resp.error.c_str());
+        std::exit(1);
+    }
+    return resp.result;
 }
 
 /** Banner naming the experiment and its provenance in the paper. */

@@ -73,12 +73,16 @@ main()
                 "(paper: 8)\n\n", trad_case.traditional);
 
     // Part 2: timing consequence on a real dependent-load chain.
-    prog::Program p = chaseProgram(16, 20'000 * bench::benchScale());
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 4;
-    auto ds = driver::runDataScalar(p, cfg);
-    auto trad = driver::runTraditional(p, cfg);
-    auto perfect = driver::runPerfect(p, cfg);
+    driver::RunRequest req;
+    req.program = std::make_shared<const prog::Program>(
+        chaseProgram(16, 20'000 * bench::benchScale()));
+    req.config.numNodes = 4;
+    req.system = driver::SystemKind::DataScalar;
+    core::RunResult ds = bench::runOrExit(req);
+    req.system = driver::SystemKind::Traditional;
+    core::RunResult trad = bench::runOrExit(req);
+    req.system = driver::SystemKind::Perfect;
+    core::RunResult perfect = bench::runOrExit(req);
 
     std::printf("pointer chase over 16 pages, 4 nodes "
                 "(cycles per hop, lower is better):\n");

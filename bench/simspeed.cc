@@ -29,7 +29,6 @@
 #include <string>
 
 #include "bench/bench_util.hh"
-#include "core/datascalar.hh"
 #include "driver/driver.hh"
 #include "workloads/workloads.hh"
 
@@ -51,11 +50,12 @@ compressProgram()
  *  asynchronous ESP creates by design and the regime the
  *  event-driven skip targets. Busy low-stall workloads (compress,
  *  IPC ~1.2) are covered by the sweep benchmarks below. */
-const prog::Program &
+std::shared_ptr<const prog::Program>
 timingProgram()
 {
-    static prog::Program p =
-        workloads::findWorkload("turb3d_s").build(1);
+    static std::shared_ptr<const prog::Program> p =
+        std::make_shared<const prog::Program>(
+            workloads::findWorkload("turb3d_s").build(1));
     return p;
 }
 
@@ -87,54 +87,53 @@ BM_TraceCaptureCold(benchmark::State &state)
         static_cast<std::int64_t>(budget));
 }
 
+/** Live runs of timingProgram() on @p system for range(0)
+ *  instructions; items = simulated instructions. A failed run marks
+ *  the benchmark errored. */
 void
-BM_PerfectTiming(benchmark::State &state)
+timingBody(benchmark::State &state, driver::SystemKind system,
+           unsigned nodes, bool event_driven)
 {
-    const prog::Program &p = timingProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = static_cast<InstSeq>(state.range(0));
-    cfg.eventDriven = state.range(1) != 0;
+    driver::RunRequest req;
+    req.program = timingProgram();
+    req.system = system;
+    req.config.maxInsts = static_cast<InstSeq>(state.range(0));
+    req.config.numNodes = nodes;
+    req.config.eventDriven = event_driven;
     for (auto _ : state) {
-        auto r = driver::runPerfect(p, cfg);
-        benchmark::DoNotOptimize(r);
+        driver::RunResponse resp = driver::runOne(req);
+        if (!resp.ok()) {
+            state.SkipWithError(resp.error.c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(resp);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         state.range(0));
+}
+
+void
+BM_PerfectTiming(benchmark::State &state)
+{
+    timingBody(state, driver::SystemKind::Perfect,
+               driver::paperConfig().numNodes, state.range(1) != 0);
 }
 
 void
 BM_DataScalarTiming(benchmark::State &state)
 {
-    const prog::Program &p = timingProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = static_cast<InstSeq>(state.range(0));
-    cfg.numNodes = static_cast<unsigned>(state.range(1));
-    cfg.eventDriven = state.range(2) != 0;
-    for (auto _ : state) {
-        auto r = driver::runDataScalar(p, cfg);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        state.range(0));
+    timingBody(state, driver::SystemKind::DataScalar,
+               static_cast<unsigned>(state.range(1)),
+               state.range(2) != 0);
 }
 
 void
 BM_TraditionalTiming(benchmark::State &state)
 {
-    const prog::Program &p = timingProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = static_cast<InstSeq>(state.range(0));
-    cfg.numNodes = static_cast<unsigned>(state.range(1));
-    cfg.eventDriven = state.range(2) != 0;
-    for (auto _ : state) {
-        auto r = driver::runTraditional(p, cfg);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        state.range(0));
+    timingBody(state, driver::SystemKind::Traditional,
+               static_cast<unsigned>(state.range(1)),
+               state.range(2) != 0);
 }
 
 /** The Figure 7 sweep (2 workloads to keep runtime sane) at a given

@@ -11,6 +11,8 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 
 #include "core/distribution.hh"
 #include "driver/driver.hh"
@@ -92,7 +94,8 @@ makeSpmv()
 int
 main()
 {
-    prog::Program p = makeSpmv();
+    auto program = std::make_shared<const prog::Program>(makeSpmv());
+    const prog::Program &p = *program;
     constexpr InstSeq budget = 200'000;
 
     std::printf("custom workload: %s "
@@ -120,15 +123,25 @@ main()
                 d.meanAll, d.meanData);
 
     // 3. Figure 7 methodology: the five systems.
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = budget;
-    auto perfect = driver::runPerfect(p, cfg);
-    cfg.numNodes = 2;
-    auto ds2 = driver::runDataScalar(p, cfg);
-    auto t2 = driver::runTraditional(p, cfg);
-    cfg.numNodes = 4;
-    auto ds4 = driver::runDataScalar(p, cfg);
-    auto t4 = driver::runTraditional(p, cfg);
+    driver::RunRequest req;
+    req.program = program;
+    req.config.maxInsts = budget;
+    auto run = [&req](driver::SystemKind system, unsigned nodes) {
+        req.system = system;
+        req.config.numNodes = nodes;
+        driver::RunResponse resp = driver::runOne(req);
+        if (!resp.ok()) {
+            std::fprintf(stderr, "custom_workload: %s\n",
+                         resp.error.c_str());
+            std::exit(1);
+        }
+        return resp.result;
+    };
+    core::RunResult perfect = run(driver::SystemKind::Perfect, 2);
+    core::RunResult ds2 = run(driver::SystemKind::DataScalar, 2);
+    core::RunResult t2 = run(driver::SystemKind::Traditional, 2);
+    core::RunResult ds4 = run(driver::SystemKind::DataScalar, 4);
+    core::RunResult t4 = run(driver::SystemKind::Traditional, 4);
 
     std::printf("%-26s %8s\n", "system", "IPC");
     std::printf("%-26s %8.3f\n", "perfect data cache", perfect.ipc);

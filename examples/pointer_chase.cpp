@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "driver/driver.hh"
 #include "prog/assembler.hh"
@@ -91,14 +92,24 @@ main(int argc, char **argv)
         run ? std::vector<unsigned>{run}
             : std::vector<unsigned>{1, 4, 16, 64, 256};
     for (unsigned r : runs) {
-        prog::Program p = makeChain(r);
-        core::SimConfig cfg = driver::paperConfig();
-        cfg.numNodes = 4;
-        auto ds = driver::runDataScalar(p, cfg);
-        auto trad = driver::runTraditional(p, cfg);
-        double hops = static_cast<double>(ds.instructions) / 3.0;
-        double ds_cyc = ds.cycles / hops;
-        double trad_cyc = trad.cycles / hops;
+        driver::RunRequest req;
+        req.program =
+            std::make_shared<const prog::Program>(makeChain(r));
+        req.config.numNodes = 4;
+        req.system = driver::SystemKind::DataScalar;
+        driver::RunResponse ds = driver::runOne(req);
+        req.system = driver::SystemKind::Traditional;
+        driver::RunResponse trad = driver::runOne(req);
+        for (const driver::RunResponse *resp : {&ds, &trad}) {
+            if (!resp->ok()) {
+                std::fprintf(stderr, "pointer_chase: %s\n",
+                             resp->error.c_str());
+                return 1;
+            }
+        }
+        double hops = static_cast<double>(ds.result.instructions) / 3.0;
+        double ds_cyc = ds.result.cycles / hops;
+        double trad_cyc = trad.result.cycles / hops;
         std::printf("%-18u %12.2f %12.2f %11.2fx\n", r, ds_cyc,
                     trad_cyc, trad_cyc / ds_cyc);
     }

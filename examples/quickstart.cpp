@@ -10,6 +10,8 @@
  */
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "driver/driver.hh"
 #include "func/func_sim.hh"
@@ -68,29 +70,36 @@ makeProgram()
 int
 main()
 {
-    prog::Program program = makeProgram();
+    auto program = std::make_shared<const prog::Program>(makeProgram());
 
     // 1. Functional run: the architectural reference.
-    func::FuncSim ref(program);
+    func::FuncSim ref(*program);
     ref.run();
     std::printf("functional output: %s", ref.output().c_str());
     std::printf("instructions: %llu\n\n",
                 (unsigned long long)ref.retired());
 
-    // 2. Timing runs with the paper's configuration.
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-
-    core::RunResult perfect = driver::runPerfect(program, cfg);
-    core::RunResult ds = driver::runDataScalar(program, cfg);
-    core::RunResult trad = driver::runTraditional(program, cfg);
+    // 2. Timing runs with the paper's configuration (the request's
+    //    default), at two nodes.
+    driver::RunRequest req;
+    req.program = program;
+    req.config.numNodes = 2;
 
     std::printf("%-28s %10s %8s\n", "system", "cycles", "IPC");
-    std::printf("%-28s %10llu %8.3f\n", "perfect data cache",
-                (unsigned long long)perfect.cycles, perfect.ipc);
-    std::printf("%-28s %10llu %8.3f\n", "DataScalar (2 nodes)",
-                (unsigned long long)ds.cycles, ds.ipc);
-    std::printf("%-28s %10llu %8.3f\n", "traditional (1/2 on-chip)",
-                (unsigned long long)trad.cycles, trad.ipc);
+    for (auto [system, label] :
+         {std::pair{driver::SystemKind::Perfect, "perfect data cache"},
+          {driver::SystemKind::DataScalar, "DataScalar (2 nodes)"},
+          {driver::SystemKind::Traditional,
+           "traditional (1/2 on-chip)"}}) {
+        req.system = system;
+        driver::RunResponse resp = driver::runOne(req);
+        if (!resp.ok()) {
+            std::fprintf(stderr, "quickstart: %s\n", resp.error.c_str());
+            return 1;
+        }
+        std::printf("%-28s %10llu %8.3f\n", label,
+                    (unsigned long long)resp.result.cycles,
+                    resp.result.ipc);
+    }
     return 0;
 }

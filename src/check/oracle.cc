@@ -146,7 +146,8 @@ runConfigOnce(const prog::Program &program,
       case driver::SystemKind::Traditional: {
         // The baselines have no system-internal invariants to poke
         // at, so they go through the driver API like any other run.
-        driver::RunRequest req = toRunRequest(config);
+        driver::RunRequest req;
+        req.system = config.system;
         req.config = cfg; // caller may have flipped run-loop knobs
         req.program = std::shared_ptr<const prog::Program>(
             std::shared_ptr<const prog::Program>(), &program);
@@ -281,15 +282,6 @@ toSimConfig(const TrialConfig &c)
         cfg.rerequestTimeout = 2'000;
     }
     return cfg;
-}
-
-driver::RunRequest
-toRunRequest(const TrialConfig &c)
-{
-    driver::RunRequest req;
-    req.system = c.system;
-    req.config = toSimConfig(c);
-    return req;
 }
 
 GoldenRun

@@ -108,10 +108,6 @@ std::string describeConfig(const TrialConfig &config);
 /** Expand a sampled point into a full simulator configuration. */
 core::SimConfig toSimConfig(const TrialConfig &config);
 
-/** Expand a sampled point into a driver::RunRequest (system +
- *  toSimConfig; the caller attaches the generated program). */
-driver::RunRequest toRunRequest(const TrialConfig &config);
-
 /** The golden architectural run every config is checked against. */
 struct GoldenRun
 {

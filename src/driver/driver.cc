@@ -293,7 +293,7 @@ measureDatathreads(const func::InstTrace &trace,
 }
 
 // -------------------------------------------------------------------
-// Timing-run conveniences
+// Figure 7
 // -------------------------------------------------------------------
 
 mem::PageTable
@@ -306,107 +306,6 @@ figure7PageTable(const prog::Program &program, unsigned num_nodes,
     dist.replicatedDataPages = 0;
     dist.blockPages = block_pages;
     return core::buildPageTable(program, dist);
-}
-
-core::RunResult
-runSystem(SystemKind system, const prog::Program &program,
-          const core::SimConfig &config, unsigned block_pages,
-          std::shared_ptr<const func::InstTrace> trace,
-          obs::Sampler *sampler)
-{
-    RunRequest req;
-    req.system = system;
-    req.config = config;
-    req.blockPages = block_pages;
-    // Non-owning alias: the caller's program outlives the run.
-    req.program = std::shared_ptr<const prog::Program>(
-        std::shared_ptr<const prog::Program>(), &program);
-    req.trace = std::move(trace);
-    req.sampler = sampler;
-    RunResponse resp = runOne(req);
-    fatal_if(!resp.ok(), "run failed: %s", resp.error.c_str());
-    return resp.result;
-}
-
-core::RunResult
-runDataScalar(const prog::Program &program,
-              const core::SimConfig &config)
-{
-    return runSystem(SystemKind::DataScalar, program, config);
-}
-
-core::RunResult
-runTraditional(const prog::Program &program,
-               const core::SimConfig &config)
-{
-    return runSystem(SystemKind::Traditional, program, config);
-}
-
-core::RunResult
-runPerfect(const prog::Program &program, const core::SimConfig &config)
-{
-    return runSystem(SystemKind::Perfect, program, config);
-}
-
-// -------------------------------------------------------------------
-// Parallel experiment sweeps
-// -------------------------------------------------------------------
-
-RunRequest
-toRunRequest(const SweepPoint &pt)
-{
-    RunRequest req;
-    req.workload = pt.workload;
-    req.scale = pt.scale;
-    req.system = pt.system;
-    req.config = pt.config;
-    req.blockPages = pt.blockPages;
-    return req;
-}
-
-namespace {
-
-std::vector<RunRequest>
-toRunRequests(const std::vector<SweepPoint> &points)
-{
-    std::vector<RunRequest> requests;
-    requests.reserve(points.size());
-    for (const SweepPoint &pt : points)
-        requests.push_back(toRunRequest(pt));
-    return requests;
-}
-
-std::vector<core::RunResult>
-toRunResults(std::vector<RunResponse> responses)
-{
-    std::vector<core::RunResult> results;
-    results.reserve(responses.size());
-    for (RunResponse &resp : responses) {
-        if (!resp.ok())
-            fatal("sweep point failed: %s", resp.error.c_str());
-        results.push_back(std::move(resp.result));
-    }
-    return results;
-}
-
-} // namespace
-
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, TraceCache &cache,
-         unsigned jobs)
-{
-    return toRunResults(runMany(toRunRequests(points), cache, jobs));
-}
-
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
-         bool reuse_traces)
-{
-    if (reuse_traces) {
-        TraceCache cache;
-        return runSweep(points, cache, jobs);
-    }
-    return toRunResults(runMany(toRunRequests(points), jobs));
 }
 
 stats::Table

@@ -3,8 +3,9 @@
  * Experiment driver: shared machinery for the bench binaries,
  * examples, and integration tests — the paper's default
  * configuration, page-heat profiling, the Table 1 ESP traffic study,
- * the Table 2 datathread-length study, and one-call timing runs of
- * each system.
+ * the Table 2 datathread-length study, and the Figure 7 page
+ * placement and IPC table. Timing runs go through runOne/runMany
+ * (driver/run_request.hh, re-exported here).
  */
 
 #ifndef DSCALAR_DRIVER_DRIVER_HH
@@ -14,15 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "core/datascalar.hh"
 #include "core/distribution.hh"
 #include "core/sim_config.hh"
-#include "baseline/perfect.hh"
-#include "baseline/traditional.hh"
 #include "driver/run_request.hh"
 #include "driver/trace_cache.hh"
 #include "func/inst_trace.hh"
-#include "obs/sampler.hh"
 #include "prog/program.hh"
 #include "stats/table.hh"
 
@@ -145,7 +142,7 @@ DatathreadResult measureDatathreads(const func::InstTrace &trace,
                                     const core::ReplicationReport &rep);
 
 // -------------------------------------------------------------------
-// Timing-run conveniences
+// Figure 7
 // -------------------------------------------------------------------
 
 /** Distribute pages for an N-node run (no static data replication,
@@ -153,85 +150,6 @@ DatathreadResult measureDatathreads(const func::InstTrace &trace,
 mem::PageTable figure7PageTable(const prog::Program &program,
                                 unsigned num_nodes,
                                 unsigned block_pages = 1);
-
-/**
- * Run @p program on one system family under @p config — a thin
- * wrapper over runOne for callers that already hold a built program.
- * @p block_pages sets the page-distribution block size (ignored by
- * Perfect, which has no page table). The returned RunResult carries
- * the full stat snapshot (RunResult::stats). A non-null @p sampler
- * is registered with the system (setSampler) and collects its
- * timeline during the run without perturbing it. A RunResponse::error
- * (a refused config, an unreachable owner) is fatal here: callers of
- * this wrapper expect a finished run.
- */
-core::RunResult runSystem(SystemKind system,
-                          const prog::Program &program,
-                          const core::SimConfig &config,
-                          unsigned block_pages = 1,
-                          std::shared_ptr<const func::InstTrace> trace =
-                              nullptr,
-                          obs::Sampler *sampler = nullptr);
-
-/** Run an N-node DataScalar system; returns IPC and cycles. */
-core::RunResult runDataScalar(const prog::Program &program,
-                              const core::SimConfig &config);
-
-/** Run the traditional system with 1/numNodes memory on-chip. */
-core::RunResult runTraditional(const prog::Program &program,
-                               const core::SimConfig &config);
-
-/** Run the perfect-data-cache system. */
-core::RunResult runPerfect(const prog::Program &program,
-                           const core::SimConfig &config);
-
-// -------------------------------------------------------------------
-// Parallel experiment sweeps
-// -------------------------------------------------------------------
-
-/**
- * One independent timing-simulation point of a sweep: a registered
- * workload run on one system under one configuration. Points share
- * nothing, so a sweep is embarrassingly parallel.
- */
-struct SweepPoint
-{
-    std::string workload; ///< registered workload name
-    SystemKind system = SystemKind::DataScalar;
-    core::SimConfig config;
-    unsigned scale = 1;      ///< workload build scale
-    unsigned blockPages = 1; ///< page-distribution block size
-};
-
-/** The RunRequest equivalent of @p pt (runSweep is runMany over
- *  these). */
-RunRequest toRunRequest(const SweepPoint &pt);
-
-/**
- * Run every point on up to @p jobs worker threads (1 = serial,
- * 0 = hardware concurrency). Results come back in point order
- * regardless of scheduling, so a parallel sweep is byte-identical
- * to a serial one.
- *
- * With @p reuse_traces (the default), each distinct
- * (workload, scale, maxInsts) is built and functionally executed
- * once into a shared trace that every matching point replays; the
- * SPSD property makes every reported number byte-identical to
- * per-point execution, only faster. Pass false to re-execute per
- * point (the pre-cache behavior).
- */
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, unsigned jobs = 1,
-         bool reuse_traces = true);
-
-/**
- * As above, but captures into (and reuses traces already in) a
- * caller-owned @p cache, letting several sweeps over the same
- * workloads share one set of captures.
- */
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, TraceCache &cache,
-         unsigned jobs = 1);
 
 /**
  * The Figure 7 sweep — perfect, DataScalar at 2/4 nodes, and the

@@ -509,15 +509,5 @@ runMany(const std::vector<RunRequest> &requests, TraceCache &cache,
     return responses;
 }
 
-std::vector<RunResponse>
-runMany(const std::vector<RunRequest> &requests, unsigned jobs)
-{
-    std::vector<RunResponse> responses(requests.size());
-    common::parallelFor(jobs, requests.size(), [&](std::size_t i) {
-        responses[i] = runOne(requests[i], nullptr);
-    });
-    return responses;
-}
-
 } // namespace driver
 } // namespace dscalar

@@ -12,9 +12,10 @@
  * are exact inverses over the serializable subset, locked by
  * tests/test_run_request.cc.
  *
- * The historical convenience entry points (runSystem, runDataScalar,
- * runSweep, ...) remain in driver/driver.hh as thin wrappers over
- * runOne/runMany.
+ * runOne and runMany are the only ways to run a timing simulation: a
+ * caller with a program built in place attaches it as
+ * RunRequest::program; a registered workload is named by
+ * RunRequest::workload and shares a TraceCache across runs.
  */
 
 #ifndef DSCALAR_DRIVER_RUN_REQUEST_HH
@@ -215,11 +216,6 @@ RunResponse runOne(const RunRequest &req, TraceCache *cache = nullptr);
  */
 std::vector<RunResponse> runMany(const std::vector<RunRequest> &requests,
                                  TraceCache &cache, unsigned jobs = 1);
-
-/** As above without a cache: every request builds and executes its
- *  program independently. */
-std::vector<RunResponse> runMany(const std::vector<RunRequest> &requests,
-                                 unsigned jobs = 1);
 
 } // namespace driver
 } // namespace dscalar

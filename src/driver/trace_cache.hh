@@ -8,9 +8,9 @@
  * point consumes the identical dynamic stream, so executing it
  * functionally once and replaying it everywhere changes no reported
  * number — only wall-clock. The cache is safe for concurrent use by
- * runSweep's worker threads: the first thread to ask for a
- * (workload, scale, maxInsts) key captures while later askers block
- * on the same future, so each key is captured exactly once per
+ * runMany's and dsserve's worker threads: the first thread to ask
+ * for a (workload, scale, maxInsts) key captures while later askers
+ * block on the same future, so each key is captured exactly once per
  * cache no matter the job count.
  */
 

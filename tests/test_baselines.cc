@@ -84,31 +84,39 @@ TEST(Traditional, MoreMemoryOnChipIsFaster)
 
 TEST(Perfect, FasterThanTraditional)
 {
-    Program p = streamProgram(4);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-    core::RunResult perfect = driver::runPerfect(p, cfg);
-    core::RunResult trad = driver::runTraditional(p, cfg);
-    EXPECT_EQ(perfect.instructions, trad.instructions);
-    EXPECT_LT(perfect.cycles, trad.cycles);
+    driver::RunRequest req;
+    req.program = std::make_shared<const Program>(streamProgram(4));
+    req.config.numNodes = 2;
+    req.system = driver::SystemKind::Perfect;
+    driver::RunResponse perfect = driver::runOne(req);
+    req.system = driver::SystemKind::Traditional;
+    driver::RunResponse trad = driver::runOne(req);
+    ASSERT_TRUE(perfect.ok()) << perfect.error;
+    ASSERT_TRUE(trad.ok()) << trad.error;
+    EXPECT_EQ(perfect.result.instructions, trad.result.instructions);
+    EXPECT_LT(perfect.result.cycles, trad.result.cycles);
 }
 
 TEST(Perfect, IpcBoundedByWidth)
 {
-    Program p = streamProgram(2);
-    core::SimConfig cfg = driver::paperConfig();
-    core::RunResult r = driver::runPerfect(p, cfg);
-    EXPECT_LE(r.ipc, cfg.core.issueWidth);
-    EXPECT_GT(r.ipc, 0.5);
+    driver::RunRequest req;
+    req.program = std::make_shared<const Program>(streamProgram(2));
+    req.system = driver::SystemKind::Perfect;
+    driver::RunResponse resp = driver::runOne(req);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_LE(resp.result.ipc, req.config.core.issueWidth);
+    EXPECT_GT(resp.result.ipc, 0.5);
 }
 
 TEST(Perfect, TruncationHonoursBudget)
 {
-    Program p = streamProgram(4);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = 1234;
-    core::RunResult r = driver::runPerfect(p, cfg);
-    EXPECT_EQ(r.instructions, 1234u);
+    driver::RunRequest req;
+    req.program = std::make_shared<const Program>(streamProgram(4));
+    req.system = driver::SystemKind::Perfect;
+    req.config.maxInsts = 1234;
+    driver::RunResponse resp = driver::runOne(req);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_EQ(resp.result.instructions, 1234u);
 }
 
 } // namespace

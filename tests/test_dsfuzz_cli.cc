@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -48,10 +49,13 @@ runDsfuzz(const std::string &args)
     CliResult res;
     if (WIFEXITED(status))
         res.exitCode = WEXITSTATUS(status);
-    std::ifstream in(outFile);
-    std::ostringstream os;
-    os << in.rdbuf();
-    res.output = os.str();
+    {
+        std::ifstream in(outFile);
+        std::ostringstream os;
+        os << in.rdbuf();
+        res.output = os.str();
+    }
+    std::remove(outFile.c_str());
     return res;
 }
 

@@ -13,14 +13,29 @@
 namespace dscalar {
 namespace {
 
+using driver::SystemKind;
+
 constexpr InstSeq kBudget = 60'000;
+
+/** Run registered @p workload on @p system under @p cfg; every run in
+ *  one test replays that workload's shared capture. */
+core::RunResult
+run(const std::string &workload, SystemKind system,
+    const core::SimConfig &cfg)
+{
+    static driver::TraceCache cache;
+    driver::RunRequest req;
+    req.workload = workload;
+    req.system = system;
+    req.config = cfg;
+    driver::RunResponse resp = driver::runOne(req, &cache);
+    EXPECT_TRUE(resp.ok()) << workload << ": " << resp.error;
+    return resp.result;
+}
 
 class TimingWorkloadTest
     : public ::testing::TestWithParam<const char *>
 {
-  protected:
-    prog::Program program_ =
-        workloads::findWorkload(GetParam()).build(1);
 };
 
 TEST_P(TimingWorkloadTest, AllSystemsCommitSameInstructionCount)
@@ -28,9 +43,9 @@ TEST_P(TimingWorkloadTest, AllSystemsCommitSameInstructionCount)
     core::SimConfig cfg = driver::paperConfig();
     cfg.maxInsts = kBudget;
     cfg.numNodes = 2;
-    auto perfect = driver::runPerfect(program_, cfg);
-    auto ds = driver::runDataScalar(program_, cfg);
-    auto trad = driver::runTraditional(program_, cfg);
+    auto perfect = run(GetParam(), SystemKind::Perfect, cfg);
+    auto ds = run(GetParam(), SystemKind::DataScalar, cfg);
+    auto trad = run(GetParam(), SystemKind::Traditional, cfg);
     EXPECT_EQ(perfect.instructions, ds.instructions);
     EXPECT_EQ(perfect.instructions, trad.instructions);
 }
@@ -40,21 +55,23 @@ TEST_P(TimingWorkloadTest, PerfectIsAnUpperBound)
     core::SimConfig cfg = driver::paperConfig();
     cfg.maxInsts = kBudget;
     cfg.numNodes = 2;
-    auto perfect = driver::runPerfect(program_, cfg);
-    auto ds = driver::runDataScalar(program_, cfg);
-    auto trad = driver::runTraditional(program_, cfg);
+    auto perfect = run(GetParam(), SystemKind::Perfect, cfg);
+    auto ds = run(GetParam(), SystemKind::DataScalar, cfg);
+    auto trad = run(GetParam(), SystemKind::Traditional, cfg);
     EXPECT_GE(perfect.ipc, ds.ipc * 0.999);
     EXPECT_GE(perfect.ipc, trad.ipc * 0.999);
 }
 
 TEST_P(TimingWorkloadTest, DataScalarProtocolSoundOnRealCode)
 {
+    prog::Program program =
+        workloads::findWorkload(GetParam()).build(1);
     core::SimConfig cfg = driver::paperConfig();
     cfg.maxInsts = kBudget;
     for (unsigned nodes : {2u, 4u}) {
         cfg.numNodes = nodes;
         core::DataScalarSystem sys(
-            program_, cfg, driver::figure7PageTable(program_, nodes));
+            program, cfg, driver::figure7PageTable(program, nodes));
         core::RunResult r = sys.run();
         EXPECT_EQ(r.instructions, kBudget);
         EXPECT_TRUE(sys.protocolDrained()) << GetParam() << " at "
@@ -79,9 +96,9 @@ TEST_P(TimingWorkloadTest, FourNodeTraditionalSlowerThanTwoNode)
     core::SimConfig cfg = driver::paperConfig();
     cfg.maxInsts = kBudget;
     cfg.numNodes = 2;
-    auto t2 = driver::runTraditional(program_, cfg);
+    auto t2 = run(GetParam(), SystemKind::Traditional, cfg);
     cfg.numNodes = 4;
-    auto t4 = driver::runTraditional(program_, cfg);
+    auto t4 = run(GetParam(), SystemKind::Traditional, cfg);
     EXPECT_LE(t4.ipc, t2.ipc * 1.02);
 }
 
@@ -99,9 +116,8 @@ TEST(HeadlineResult, DataScalarBeatsTraditionalAtFourNodes)
     cfg.maxInsts = 150'000;
     cfg.numNodes = 4;
     for (const auto &name : workloads::timingWorkloadNames()) {
-        prog::Program p = workloads::findWorkload(name).build(1);
-        auto ds = driver::runDataScalar(p, cfg);
-        auto trad = driver::runTraditional(p, cfg);
+        auto ds = run(name, SystemKind::DataScalar, cfg);
+        auto trad = run(name, SystemKind::Traditional, cfg);
         EXPECT_GT(ds.ipc, trad.ipc) << name;
     }
 }
@@ -115,9 +131,8 @@ TEST(HeadlineResult, CompressGainsMostFromEsp)
     double best_gain = 0.0;
     std::string best;
     for (const auto &name : workloads::timingWorkloadNames()) {
-        prog::Program p = workloads::findWorkload(name).build(1);
-        auto ds = driver::runDataScalar(p, cfg);
-        auto trad = driver::runTraditional(p, cfg);
+        auto ds = run(name, SystemKind::DataScalar, cfg);
+        auto trad = run(name, SystemKind::Traditional, cfg);
         double gain = ds.ipc / trad.ipc;
         if (gain > best_gain) {
             best_gain = gain;
@@ -131,17 +146,17 @@ TEST(Sensitivity, SlowerBusWidensTheGap)
 {
     // Figure 8: "when the speed differential between the global and
     // on-chip buses grows, so does the disparity".
-    prog::Program p = workloads::findWorkload("compress_s").build(1);
+    const char *name = "compress_s";
     core::SimConfig cfg = driver::paperConfig();
     cfg.maxInsts = kBudget;
     cfg.numNodes = 2;
 
     cfg.bus.clockDivisor = 4;
-    double fast_ratio = driver::runDataScalar(p, cfg).ipc /
-                        driver::runTraditional(p, cfg).ipc;
+    double fast_ratio = run(name, SystemKind::DataScalar, cfg).ipc /
+                        run(name, SystemKind::Traditional, cfg).ipc;
     cfg.bus.clockDivisor = 24;
-    double slow_ratio = driver::runDataScalar(p, cfg).ipc /
-                        driver::runTraditional(p, cfg).ipc;
+    double slow_ratio = run(name, SystemKind::DataScalar, cfg).ipc /
+                        run(name, SystemKind::Traditional, cfg).ipc;
     EXPECT_GT(slow_ratio, fast_ratio);
 }
 
@@ -149,17 +164,17 @@ TEST(Sensitivity, SlowerMemoryConvergesTheSystems)
 {
     // Figure 8: performance converges when bank access time
     // dominates (DataScalar reduces transmission, not access cost).
-    prog::Program p = workloads::findWorkload("applu_s").build(1);
+    const char *name = "applu_s";
     core::SimConfig cfg = driver::paperConfig();
     cfg.maxInsts = kBudget;
     cfg.numNodes = 2;
 
     cfg.mem.accessLatency = 8;
-    double fast_gap = driver::runDataScalar(p, cfg).ipc -
-                      driver::runTraditional(p, cfg).ipc;
+    double fast_gap = run(name, SystemKind::DataScalar, cfg).ipc -
+                      run(name, SystemKind::Traditional, cfg).ipc;
     cfg.mem.accessLatency = 256;
-    double slow_gap = driver::runDataScalar(p, cfg).ipc -
-                      driver::runTraditional(p, cfg).ipc;
+    double slow_gap = run(name, SystemKind::DataScalar, cfg).ipc -
+                      run(name, SystemKind::Traditional, cfg).ipc;
     EXPECT_LT(slow_gap, fast_gap);
 }
 
@@ -167,14 +182,14 @@ TEST(WritePolicy, NoAllocateBeatsAllocateUnderEsp)
 {
     // Section 4.2: write-noallocate is "superior to write-allocate
     // in an ESP-based system".
-    prog::Program p = workloads::findWorkload("compress_s").build(1);
+    const char *name = "compress_s";
     core::SimConfig cfg = driver::paperConfig();
     cfg.maxInsts = kBudget;
     cfg.numNodes = 2;
 
-    auto noalloc = driver::runDataScalar(p, cfg);
+    auto noalloc = run(name, SystemKind::DataScalar, cfg);
     cfg.core.dcache.writeAllocate = true;
-    auto alloc = driver::runDataScalar(p, cfg);
+    auto alloc = run(name, SystemKind::DataScalar, cfg);
     EXPECT_GE(noalloc.ipc, alloc.ipc);
 }
 

@@ -208,43 +208,44 @@ TEST(JsonWriterTest, TimelineHookEmitsExtraKey)
 
 TEST(RunResultStats, SweepPointsCarrySnapshots)
 {
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-    cfg.maxInsts = 5'000;
-    driver::SweepPoint point{"compress_s",
-                             driver::SystemKind::DataScalar, cfg, 1,
-                             1};
-    auto results = driver::runSweep({point, point}, 2);
-    ASSERT_EQ(results.size(), 2u);
-    for (const auto &r : results) {
-        ASSERT_NE(r.stats, nullptr);
+    driver::RunRequest req;
+    req.workload = "compress_s";
+    req.config.numNodes = 2;
+    req.config.maxInsts = 5'000;
+    driver::TraceCache cache;
+    auto responses = driver::runMany({req, req}, cache, 2);
+    ASSERT_EQ(responses.size(), 2u);
+    for (const auto &resp : responses) {
+        ASSERT_TRUE(resp.ok()) << resp.error;
+        ASSERT_NE(resp.result.stats, nullptr);
         std::ostringstream os;
-        r.stats->dump(os);
+        resp.result.stats->dump(os);
         EXPECT_NE(os.str().find("cycles"), std::string::npos);
         EXPECT_NE(os.str().find("node1:"), std::string::npos);
     }
     // Identical points must produce identical snapshots.
     std::ostringstream a, b;
-    results[0].stats->dump(a);
-    results[1].stats->dump(b);
+    responses[0].result.stats->dump(a);
+    responses[1].result.stats->dump(b);
     EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(RunResultStats, RunSystemMatchesDirectRun)
 {
-    prog::Program p = loopProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-    core::RunResult r = driver::runSystem(
-        driver::SystemKind::DataScalar, p, cfg);
-    ASSERT_NE(r.stats, nullptr);
+    driver::RunRequest req;
+    req.program = std::make_shared<const prog::Program>(loopProgram());
+    req.config.numNodes = 2;
+    driver::RunResponse resp = driver::runOne(req);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    ASSERT_NE(resp.result.stats, nullptr);
 
-    core::DataScalarSystem sys(p, cfg,
+    const prog::Program &p = *req.program;
+    core::DataScalarSystem sys(p, req.config,
                                driver::figure7PageTable(p, 2));
     sys.run();
     std::ostringstream direct, viaDriver;
     sys.dumpStats(direct);
-    r.stats->dump(viaDriver);
+    resp.result.stats->dump(viaDriver);
     EXPECT_EQ(direct.str(), viaDriver.str());
 }
 

@@ -205,16 +205,18 @@ TEST(SamplerIntegration, DeterministicUnderConcurrentRuns)
 
 TEST(SamplerIntegration, RunSystemAcceptsSampler)
 {
-    prog::Program p = stridedProgram(2);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
     Sampler sampler(100);
-    core::RunResult r = driver::runSystem(
-        driver::SystemKind::DataScalar, p, cfg, 1, nullptr, &sampler);
-    EXPECT_GT(r.cycles, 0u);
+    driver::RunRequest req;
+    req.program =
+        std::make_shared<const prog::Program>(stridedProgram(2));
+    req.config.numNodes = 2;
+    req.sampler = &sampler;
+    driver::RunResponse resp = driver::runOne(req);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_GT(resp.result.cycles, 0u);
     EXPECT_GT(sampler.sampleCount(), 0u);
     // The last emitted nominal cycle never exceeds the run length.
-    EXPECT_LT(sampler.cycles().back(), r.cycles);
+    EXPECT_LT(sampler.cycles().back(), resp.result.cycles);
 }
 
 } // namespace

@@ -3,20 +3,19 @@
  * RunRequest API tests: kv helper semantics, parse/format exactness
  * (format ∘ parse ∘ format is the identity on the serializable
  * subset), key-level error reporting, the recovery-default finalize
- * rule, the optional-returning name parsers, and equivalence of the
- * legacy driver entry points (runSystem, runSweep) with the
- * runOne/runMany core they now wrap, and the Figure 7 table's use of
- * its base request.
+ * rule, the optional-returning name parsers, runOne's errors and
+ * warm-cache identity, and the Figure 7 table's use of its base
+ * request.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "common/kv.hh"
 #include "driver/driver.hh"
 #include "driver/trace_cache.hh"
-#include "workloads/workloads.hh"
 
 namespace dscalar {
 namespace {
@@ -158,38 +157,43 @@ TEST(RunRequestParse, CommentsAndBlankPrefix)
 
 TEST(RunRequestParse, Errors)
 {
-    driver::RunRequest req;
-    std::string error;
-
-    std::istringstream empty("\n\n");
-    EXPECT_FALSE(driver::parseRunRequest(empty, req, error));
-    EXPECT_NE(error.find("empty request"), std::string::npos) << error;
-
-    // `tick_threads` named the removed per-node parallel loop, and
-    // `trace_dir` the removed persistent trace store.
-    for (const char *key : {"bogus", "tick_threads", "trace_dir"}) {
-        std::istringstream unknown("workload = go_s\n" +
-                                   std::string(key) + " = 1\n\n");
-        EXPECT_FALSE(driver::parseRunRequest(unknown, req, error));
-        EXPECT_NE(error.find("unknown key '" + std::string(key) + "'"),
-                  std::string::npos)
-            << error;
+    // Each block and a piece of the error it must give. `tick_threads`
+    // named the removed per-node parallel loop, and `trace_dir` the
+    // removed persistent trace store.
+    const std::pair<const char *, const char *> cases[] = {
+        {"\n\n", "empty request"},
+        {"workload = go_s\nbogus = 1\n\n", "line 2: unknown key 'bogus'"},
+        {"workload = go_s\ntick_threads = 1\n\n",
+         "unknown key 'tick_threads'"},
+        {"workload = go_s\ntrace_dir = 1\n\n", "unknown key 'trace_dir'"},
+        {"system = vector\n\n", "unknown system 'vector'"},
+        {"nodes = 0\n\n", "bad value '0' for 'nodes'"},
+        {"fault_drop = 1.5\n\n", "bad value '1.5' for 'fault_drop'"},
+        {"workload =\n\n",
+         "bad value '' for 'workload' (expected a workload name)"},
+        {"interconnect = mesh\n\n", "unknown interconnect 'mesh'"},
+        {"max_insts = lots\n\n",
+         "bad value 'lots' for 'max_insts' (expected an unsigned "
+         "integer)"},
+        {"scale = 0\n\n",
+         "bad value '0' for 'scale' (expected a scale in 1..4096)"},
+        {"scale = 4097\n\n", "bad value '4097' for 'scale'"},
+        {"block_pages = 0\n\n",
+         "bad value '0' for 'block_pages' (expected a positive page "
+         "count)"},
+        {"bshr_capacity = 0\n\n",
+         "bad value '0' for 'bshr_capacity' (expected a positive "
+         "entry count)"},
+        {"workload = go_s\nnodes 4\n\n", "line 2: missing '='"},
+    };
+    for (const auto &[block, expected] : cases) {
+        std::istringstream in(block);
+        driver::RunRequest req;
+        std::string error;
+        EXPECT_FALSE(driver::parseRunRequest(in, req, error)) << block;
+        EXPECT_NE(error.find(expected), std::string::npos)
+            << block << "-> " << error;
     }
-
-    std::istringstream badsys("system = vector\n\n");
-    EXPECT_FALSE(driver::parseRunRequest(badsys, req, error));
-    EXPECT_NE(error.find("unknown system 'vector'"), std::string::npos)
-        << error;
-
-    std::istringstream badval("nodes = 0\n\n");
-    EXPECT_FALSE(driver::parseRunRequest(badval, req, error));
-    EXPECT_NE(error.find("bad value '0' for 'nodes'"),
-              std::string::npos)
-        << error;
-
-    std::istringstream badprob("fault_drop = 1.5\n\n");
-    EXPECT_FALSE(driver::parseRunRequest(badprob, req, error));
-    EXPECT_NE(error.find("fault_drop"), std::string::npos) << error;
 }
 
 TEST(RunRequestParse, KeyErrorLeavesRequestUnchanged)
@@ -240,6 +244,18 @@ TEST(RunOne, UnknownWorkloadIsAnError)
     EXPECT_FALSE(resp.ok());
     EXPECT_NE(resp.error.find("unknown workload"), std::string::npos)
         << resp.error;
+}
+
+TEST(RunOne, UnwritablePerfettoPathIsAnError)
+{
+    driver::RunRequest req;
+    req.workload = "go_s";
+    req.config.maxInsts = 1000;
+    req.perfettoPath = ::testing::TempDir() + "no_such_dir/trace.json";
+    driver::RunResponse resp = driver::runOne(req);
+    EXPECT_FALSE(resp.ok());
+    EXPECT_EQ(resp.error,
+              "cannot write perfetto file '" + req.perfettoPath + "'");
 }
 
 TEST(RunOne, HardBshrWithoutRecoveryIsAnError)
@@ -303,59 +319,6 @@ TEST(RunOne, ShortTimeoutUnderHardBshrIsAnError)
                            "nodes = 4\nbshr_hard = 1\n"
                            "rerequest_timeout = 100\n"
                            "max_insts = 50000\n\n");
-}
-
-TEST(RunOne, MatchesLegacyRunSystem)
-{
-    prog::Program program = workloads::findWorkload("go_s").build(1);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = 3000;
-
-    core::RunResult legacy = driver::runSystem(
-        driver::SystemKind::DataScalar, program, cfg);
-
-    driver::RunRequest req;
-    req.workload = "go_s";
-    req.system = driver::SystemKind::DataScalar;
-    req.config = cfg;
-    driver::RunResponse resp = driver::runOne(req);
-
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_EQ(resp.result.cycles, legacy.cycles);
-    EXPECT_EQ(resp.result.instructions, legacy.instructions);
-    EXPECT_EQ(resp.result.ipc, legacy.ipc);
-}
-
-TEST(RunMany, MatchesLegacyRunSweep)
-{
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = 3000;
-    std::vector<driver::SweepPoint> points;
-    for (driver::SystemKind system :
-         {driver::SystemKind::Perfect, driver::SystemKind::DataScalar,
-          driver::SystemKind::Traditional}) {
-        driver::SweepPoint pt;
-        pt.workload = "compress_s";
-        pt.system = system;
-        pt.config = cfg;
-        points.push_back(pt);
-    }
-
-    std::vector<core::RunResult> legacy = driver::runSweep(points);
-
-    std::vector<driver::RunRequest> requests;
-    for (const driver::SweepPoint &pt : points)
-        requests.push_back(driver::toRunRequest(pt));
-    driver::TraceCache cache;
-    std::vector<driver::RunResponse> responses =
-        driver::runMany(requests, cache);
-
-    ASSERT_EQ(responses.size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-        ASSERT_TRUE(responses[i].ok()) << responses[i].error;
-        EXPECT_EQ(responses[i].result.cycles, legacy[i].cycles);
-        EXPECT_EQ(responses[i].result.ipc, legacy[i].ipc);
-    }
 }
 
 TEST(RunOne, WarmCacheStatsJsonByteIdentical)

@@ -20,26 +20,36 @@ class SmokeMatrixTest
     : public ::testing::TestWithParam<const char *>
 {
   protected:
-    prog::Program program_ =
-        workloads::findWorkload(GetParam()).build(1);
+    std::shared_ptr<const prog::Program> program_ =
+        std::make_shared<const prog::Program>(
+            workloads::findWorkload(GetParam()).build(1));
+
+    /** A live run of this workload on @p system at @p nodes. */
+    driver::RunResponse
+    run(driver::SystemKind system, unsigned nodes) const
+    {
+        driver::RunRequest req;
+        req.program = program_;
+        req.system = system;
+        req.config.maxInsts = kBudget;
+        req.config.numNodes = nodes;
+        return driver::runOne(req);
+    }
 };
 
 TEST_P(SmokeMatrixTest, PerfectSystem)
 {
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    core::RunResult r = driver::runPerfect(program_, cfg);
-    EXPECT_EQ(r.instructions, kBudget);
-    EXPECT_GT(r.ipc, 0.0);
+    driver::RunResponse resp = run(driver::SystemKind::Perfect, 2);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_EQ(resp.result.instructions, kBudget);
+    EXPECT_GT(resp.result.ipc, 0.0);
 }
 
 TEST_P(SmokeMatrixTest, TraditionalSystem)
 {
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 4;
-    core::RunResult r = driver::runTraditional(program_, cfg);
-    EXPECT_EQ(r.instructions, kBudget);
+    driver::RunResponse resp = run(driver::SystemKind::Traditional, 4);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_EQ(resp.result.instructions, kBudget);
 }
 
 TEST_P(SmokeMatrixTest, DataScalarBusAndRing)
@@ -51,7 +61,7 @@ TEST_P(SmokeMatrixTest, DataScalarBusAndRing)
         cfg.numNodes = 4;
         cfg.interconnect = kind;
         core::DataScalarSystem sys(
-            program_, cfg, driver::figure7PageTable(program_, 4));
+            *program_, cfg, driver::figure7PageTable(*program_, 4));
         core::RunResult r = sys.run();
         EXPECT_EQ(r.instructions, kBudget);
         EXPECT_TRUE(sys.protocolDrained()) << GetParam();

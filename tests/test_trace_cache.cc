@@ -22,43 +22,47 @@ namespace {
 
 constexpr InstSeq kBudget = 4000;
 
-std::vector<SweepPoint>
-dcacheSweepPoints()
+std::vector<RunRequest>
+dcacheSweepRequests()
 {
     // A fig8-shaped sub-sweep: one workload, several dcache sizes,
     // two systems per size — 12 points sharing a single stream.
-    std::vector<SweepPoint> points;
+    std::vector<RunRequest> requests;
+    RunRequest req;
+    req.workload = "compress_s";
+    req.config.maxInsts = kBudget;
+    req.config.numNodes = 2;
     for (unsigned kb : {4, 8, 16, 32, 64, 128}) {
-        core::SimConfig cfg = paperConfig();
-        cfg.maxInsts = kBudget;
-        cfg.numNodes = 2;
-        cfg.core.dcache.sizeBytes = kb * 1024;
-        points.push_back(
-            SweepPoint{"compress_s", SystemKind::DataScalar, cfg, 1, 1});
-        points.push_back(
-            SweepPoint{"compress_s", SystemKind::Traditional, cfg, 1, 1});
+        req.config.core.dcache.sizeBytes = kb * 1024;
+        for (SystemKind system :
+             {SystemKind::DataScalar, SystemKind::Traditional}) {
+            req.system = system;
+            requests.push_back(req);
+        }
     }
-    return points;
+    return requests;
 }
 
 TEST(TraceCache, ConcurrentSweepCapturesOnceAndMatchesFresh)
 {
-    std::vector<SweepPoint> points = dcacheSweepPoints();
+    std::vector<RunRequest> requests = dcacheSweepRequests();
 
     TraceCache cache;
-    std::vector<core::RunResult> reused = runSweep(points, cache, 4);
+    std::vector<RunResponse> reused = runMany(requests, cache, 4);
     EXPECT_EQ(cache.captures(), 1u);
-    EXPECT_EQ(cache.hits(), points.size() - 1);
+    EXPECT_EQ(cache.hits(), requests.size() - 1);
 
     // Replayed results must be byte-identical to per-point
     // execution (the SPSD guarantee the cache rests on).
-    std::vector<core::RunResult> fresh = runSweep(points, 1, false);
-    ASSERT_EQ(reused.size(), fresh.size());
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
-        EXPECT_EQ(reused[i].cycles, fresh[i].cycles);
-        EXPECT_EQ(reused[i].instructions, fresh[i].instructions);
-        EXPECT_EQ(reused[i].ipc, fresh[i].ipc);
+        RunResponse fresh = runOne(requests[i]);
+        ASSERT_TRUE(reused[i].ok()) << reused[i].error;
+        ASSERT_TRUE(fresh.ok()) << fresh.error;
+        EXPECT_EQ(reused[i].result.cycles, fresh.result.cycles);
+        EXPECT_EQ(reused[i].result.instructions,
+                  fresh.result.instructions);
+        EXPECT_EQ(reused[i].result.ipc, fresh.result.ipc);
     }
 }
 

@@ -27,11 +27,12 @@ namespace {
 
 constexpr InstSeq kBudget = 8000;
 
-const prog::Program &
+std::shared_ptr<const prog::Program>
 testProgram()
 {
-    static prog::Program p =
-        workloads::findWorkload("compress_s").build(1);
+    static std::shared_ptr<const prog::Program> p =
+        std::make_shared<const prog::Program>(
+            workloads::findWorkload("compress_s").build(1));
     return p;
 }
 
@@ -39,7 +40,7 @@ std::shared_ptr<const func::InstTrace>
 testTrace()
 {
     static std::shared_ptr<const func::InstTrace> trace =
-        func::InstTrace::capture(testProgram(), kBudget);
+        func::InstTrace::capture(*testProgram(), kBudget);
     return trace;
 }
 
@@ -55,27 +56,33 @@ testConfig(bool event_driven)
 
 TEST(TraceReplay, RunResultsMatchEverySystemAndMode)
 {
-    const prog::Program &p = testProgram();
-    auto trace = testTrace();
+    RunRequest req;
+    req.program = testProgram();
     for (bool ed : {true, false}) {
-        core::SimConfig cfg = testConfig(ed);
+        req.config = testConfig(ed);
         for (SystemKind kind :
              {SystemKind::Perfect, SystemKind::DataScalar,
               SystemKind::Traditional}) {
             SCOPED_TRACE(std::string(systemKindName(kind)) +
                          (ed ? " event-driven" : " cycle-stepped"));
-            core::RunResult fresh = runSystem(kind, p, cfg);
-            core::RunResult replay = runSystem(kind, p, cfg, 1, trace);
-            EXPECT_EQ(replay.cycles, fresh.cycles);
-            EXPECT_EQ(replay.instructions, fresh.instructions);
-            EXPECT_EQ(replay.ipc, fresh.ipc);
+            req.system = kind;
+            req.trace = nullptr;
+            RunResponse fresh = runOne(req);
+            req.trace = testTrace();
+            RunResponse replay = runOne(req);
+            ASSERT_TRUE(fresh.ok()) << fresh.error;
+            ASSERT_TRUE(replay.ok()) << replay.error;
+            EXPECT_EQ(replay.result.cycles, fresh.result.cycles);
+            EXPECT_EQ(replay.result.instructions,
+                      fresh.result.instructions);
+            EXPECT_EQ(replay.result.ipc, fresh.result.ipc);
         }
     }
 }
 
 TEST(TraceReplay, DataScalarDumpStatsByteIdentical)
 {
-    const prog::Program &p = testProgram();
+    const prog::Program &p = *testProgram();
     core::SimConfig cfg = testConfig(true);
 
     core::DataScalarSystem live(p, cfg, figure7PageTable(p, 2));
@@ -98,7 +105,7 @@ TEST(TraceReplay, FaultInjectionWithRecoveryMatchesLive)
     // with recovery armed must replay cycle- and stats-identical to
     // its live counterpart. The fuzzer's crossReplay check on fault
     // configs rests on this corner.
-    const prog::Program &p = testProgram();
+    const prog::Program &p = *testProgram();
     for (bool ed : {true, false}) {
         SCOPED_TRACE(ed ? "event-driven" : "cycle-stepped");
         core::SimConfig cfg = testConfig(ed);
@@ -133,7 +140,7 @@ TEST(TraceReplay, FaultInjectionWithRecoveryMatchesLive)
 
 TEST(TraceReplay, PerfectOutputMatchesAcrossBackends)
 {
-    const prog::Program &p = testProgram();
+    const prog::Program &p = *testProgram();
     core::SimConfig cfg = testConfig(true);
     baseline::PerfectSystem live(p, cfg);
     baseline::PerfectSystem replay(p, cfg, testTrace());
@@ -175,7 +182,7 @@ TEST(TraceReplay, TruncatedReplayOutputMatchesLiveBudget)
 
 TEST(TraceReplay, TraditionalOutputMatchesAcrossBackends)
 {
-    const prog::Program &p = testProgram();
+    const prog::Program &p = *testProgram();
     core::SimConfig cfg = testConfig(true);
     baseline::TraditionalSystem live(p, cfg,
                                      figure7PageTable(p, 2));
