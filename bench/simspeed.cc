@@ -8,7 +8,7 @@
  * Each timing benchmark has a *NoSkip twin with event-driven cycle
  * skipping disabled, so the win from fast-forwarding idle cycles is
  * visible directly (reported cycle counts are identical either way;
- * tests/test_cycle_skip.cc proves it). BM_SweepSerial/Parallel time
+ * tests/test_identity.cc proves it). BM_SweepSerial/Parallel time
  * the Figure 7 sweep at 1 vs benchJobs() workers; their *NoReuse
  * twins disable the shared trace capture (driver::TraceCache), so
  * the win from executing each workload once is visible directly.

@@ -1,11 +1,9 @@
 /**
  * @file
- * Error- and status-reporting helpers in the gem5 idiom.
+ * Error-reporting helpers in the gem5 idiom.
  *
- * panic()  - an internal simulator invariant broke (a bug); aborts.
- * fatal()  - the user supplied an impossible configuration; exits(1).
- * warn()   - something works but imperfectly.
- * inform() - neutral status output.
+ * panic() - an internal simulator invariant broke (a bug); aborts.
+ * fatal() - the user supplied an impossible configuration; exits(1).
  */
 
 #ifndef DSCALAR_COMMON_LOGGING_HH
@@ -35,8 +33,6 @@ void removePanicHook(std::uint64_t id);
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** printf-style formatting into a std::string. */
 std::string csprintf(const char *fmt, ...)
@@ -49,12 +45,6 @@ std::string csprintf(const char *fmt, ...)
 
 #define fatal(...) \
     ::dscalar::fatalImpl(__FILE__, __LINE__, ::dscalar::csprintf(__VA_ARGS__))
-
-#define warn(...) \
-    ::dscalar::warnImpl(::dscalar::csprintf(__VA_ARGS__))
-
-#define inform(...) \
-    ::dscalar::informImpl(::dscalar::csprintf(__VA_ARGS__))
 
 /** panic() unless an invariant holds. */
 #define panic_if(cond, ...)           \

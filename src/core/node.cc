@@ -319,14 +319,6 @@ DataScalarNode::buildStats(stats::Snapshot &snap) const
 }
 
 void
-DataScalarNode::dumpStats(std::ostream &os) const
-{
-    stats::Snapshot snap;
-    buildStats(snap);
-    snap.dump(os);
-}
-
-void
 DataScalarNode::watchdogDump(std::ostream &os, Cycle now) const
 {
     os << "node " << id_ << ": committed "

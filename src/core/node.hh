@@ -111,11 +111,8 @@ class DataScalarNode : public ooo::MemBackend
     /** Emit typed protocol events to @p sink; nullptr disables. */
     void setTraceSink(TraceSink *sink);
 
-    /** Write a gem5-style stats block for this node. */
-    void dumpStats(std::ostream &os) const;
-
     /** Append this node's stats as group "node<id>" to @p snap; the
-     *  text dump renders from the same snapshot. */
+     *  system's text dump and JSON export render from it. */
     void buildStats(stats::Snapshot &snap) const;
 
     /** Structured deadlock diagnostics: pipeline head, BSHR contents

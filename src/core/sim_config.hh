@@ -89,7 +89,7 @@ struct SimConfig
      * cycle at which any node, delivery, or the watchdog can act,
      * instead of stepping one cycle at a time. Simulated cycle
      * counts and event statistics are identical either way (asserted
-     * by test_cycle_skip); disable to force the reference
+     * by test_identity); disable to force the reference
      * single-cycle-stepping loop. See docs/PERF.md.
      */
     bool eventDriven = true;

@@ -62,7 +62,7 @@ class TimingSystem
      * Register the system's timeline columns with @p sampler and
      * advance it from the run loop; nullptr detaches. Sampling only
      * reads state — cycle counts and the retirement stream are
-     * unchanged (locked by tests/test_obs_sampler.cc).
+     * unchanged (locked by tests/test_identity.cc).
      */
     void setSampler(obs::Sampler *sampler);
 
@@ -74,7 +74,7 @@ class TimingSystem
      * (`phase_<name>_us` plus an independently measured
      * `total_us`). Wall-clock only: simulated results are
      * byte-identical with or without a profiler (locked by
-     * tests/test_obs_span.cc).
+     * tests/test_identity.cc).
      */
     void setProfiler(obs::SpanRecorder *prof) { prof_ = prof; }
 

@@ -14,7 +14,7 @@
  * nominal sample cycle inside the skipped window observes exactly the
  * current values — so the emitted timeline is byte-identical between
  * event-driven and single-stepped runs (locked by
- * tests/test_obs_sampler.cc). Sampling only reads; it never perturbs
+ * tests/test_identity.cc). Sampling only reads; it never perturbs
  * simulation state or cycle counts.
  */
 

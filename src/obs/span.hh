@@ -6,7 +6,7 @@
  * A SpanRecorder measures where *wall time* goes, never simulated
  * time, and never perturbs a run: attaching one changes no cycle
  * count, stat, trace event, or sampler row (locked by
- * tests/test_obs_span.cc). It offers two complementary shapes:
+ * tests/test_identity.cc). It offers two complementary shapes:
  *
  *  - a **span tree** (begin/end or SpanScope RAII) for the coarse
  *    request phases — program build, trace capture / disk load /

@@ -1,11 +1,12 @@
 /**
  * @file
  * dsserve subsystem tests: in-process serve::Server + serve::Client
- * over real Unix-domain sockets. Covers the protocol ops, the
- * dsserve contract (warm replies byte-identical to cold in-process
- * runs), concurrent clients sharing one trace cache, every rejection
- * path (malformed, oversized, instruction budget, overload), and
- * shutdown draining in-flight requests.
+ * over real Unix-domain sockets. Covers the protocol ops, concurrent
+ * clients sharing one trace cache, every rejection path (malformed,
+ * oversized, instruction budget, overload), and shutdown draining
+ * in-flight requests. The dsserve contract, cold and warm replies
+ * byte-identical to in-process runs, is checked by
+ * tests/test_identity.cc.
  *
  * Socket paths are short and relative (sun_path holds ~107 bytes);
  * ctest runs these from the build tree.
@@ -140,43 +141,6 @@ TEST(DsServe, PingStatsAndUnknownOp)
     EXPECT_TRUE(bad.ok);
     ::close(fd);
 
-    server.stop();
-}
-
-TEST(DsServe, WarmReplyByteIdenticalToColdRun)
-{
-    serve::Server server(testConfig("t_dss_warm.sock"));
-    std::string error;
-    ASSERT_TRUE(server.start(error)) << error;
-
-    driver::RunRequest req = smallRequest("compress_s");
-    serve::Client client = connectTo("t_dss_warm.sock");
-
-    serve::Reply first = client.run(req);
-    ASSERT_TRUE(first.ok) << first.error;
-    EXPECT_EQ(first.field("cache_hit"), "0");
-    EXPECT_FALSE(first.field("cycles").empty());
-    EXPECT_FALSE(first.field("ipc").empty());
-    EXPECT_EQ(first.field("drained"), "1");
-
-    serve::Reply warm = client.run(req);
-    ASSERT_TRUE(warm.ok) << warm.error;
-    EXPECT_EQ(warm.field("cache_hit"), "1");
-    EXPECT_EQ(warm.json, first.json);
-
-    // The dsserve contract: the warm served reply byte-matches a
-    // cold one-shot run of the same request (dsrun arms the flight
-    // recorder too, so mirror it).
-    driver::RunRequest cold_req = req;
-    cold_req.flightRecorder = true;
-    driver::RunResponse cold = driver::runOne(cold_req);
-    ASSERT_TRUE(cold.ok()) << cold.error;
-    EXPECT_EQ(warm.json, cold.statsJson());
-
-    serve::ServerStats s = server.stats();
-    EXPECT_EQ(s.completed, 2u);
-    EXPECT_EQ(s.traceCaptures, 1u);
-    EXPECT_EQ(s.traceHits, 1u);
     server.stop();
 }
 

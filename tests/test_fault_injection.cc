@@ -1,6 +1,8 @@
 /** @file Tests for interconnect fault injection and re-request
  *  recovery: seeded determinism, completion under loss, hard BSHR
- *  capacity, and the watchdog diagnostic dump. */
+ *  capacity, and the watchdog diagnostic dump. That faulty and
+ *  hard-BSHR runs repeat byte for byte, stepped or skipping, is
+ *  checked by tests/test_identity.cc. */
 
 #include <gtest/gtest.h>
 
@@ -151,7 +153,6 @@ TEST(FaultModel, DroppedMessagesAreNeitherLateNorDuplicated)
 struct FaultRun
 {
     core::RunResult result;
-    std::string stats;
     std::uint64_t rerequests = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t waitersLeft = 0;
@@ -166,9 +167,6 @@ runFaulty(const prog::Program &p, const core::SimConfig &cfg)
         p, cfg, driver::figure7PageTable(p, cfg.numNodes));
     FaultRun r;
     r.result = sys.run();
-    std::ostringstream os;
-    sys.dumpStats(os);
-    r.stats = os.str();
     r.allCommitted = true;
     for (NodeId n = 0; n < cfg.numNodes; ++n) {
         r.rerequests += sys.node(n).nodeStats().rerequestsSent;
@@ -222,18 +220,6 @@ TEST(FaultInjection, DropRecoveryCompletesOnBus)
     EXPECT_GT(a.result.instructions, 0u);
     EXPECT_GT(a.rerequests, 0u);
     EXPECT_GT(a.recoveries, 0u);
-
-    // Bit-deterministic: a repeat and the single-stepping run loop
-    // produce the same cycle count and the same statistics dump.
-    FaultRun b = runFaulty(p, cfg);
-    EXPECT_EQ(a.result.cycles, b.result.cycles);
-    EXPECT_EQ(a.stats, b.stats);
-
-    core::SimConfig stepped = cfg;
-    stepped.eventDriven = false;
-    FaultRun c = runFaulty(p, stepped);
-    EXPECT_EQ(a.result.cycles, c.result.cycles);
-    EXPECT_EQ(a.stats, c.stats);
 }
 
 TEST(FaultInjection, DropRecoveryCompletesOnRing)
@@ -251,10 +237,6 @@ TEST(FaultInjection, DropRecoveryCompletesOnRing)
     EXPECT_EQ(a.waitersLeft, 0u);
     EXPECT_GT(a.result.instructions, 0u);
     EXPECT_GT(a.rerequests, 0u);
-
-    FaultRun b = runFaulty(p, cfg);
-    EXPECT_EQ(a.result.cycles, b.result.cycles);
-    EXPECT_EQ(a.stats, b.stats);
 }
 
 TEST(FaultInjection, DelayAndDuplicationPreserveCompletion)
@@ -317,10 +299,6 @@ TEST(FaultInjection, HardBshrCapacityCompletes)
     EXPECT_TRUE(a.allCommitted);
     EXPECT_EQ(a.waitersLeft, 0u);
     EXPECT_GT(a.result.instructions, 0u);
-
-    FaultRun b = runFaulty(p, cfg);
-    EXPECT_EQ(a.result.cycles, b.result.cycles);
-    EXPECT_EQ(a.stats, b.stats);
 }
 
 // --- Watchdog diagnostics ------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <tuple>
 
+#include "baseline/perfect.hh"
 #include "core/distribution.hh"
 #include "driver/driver.hh"
 #include "func/inst_trace.hh"
@@ -189,6 +190,25 @@ TEST(InstTrace, OutputPrefixMatchesTruncatedLiveRun)
         EXPECT_EQ(trace->outputPrefix(budget), sim.output())
             << "budget " << budget;
     }
+}
+
+/** The system-level twin: the unit assert under the replay axis of
+ *  tests/test_identity.cc. */
+TEST(TraceReplay, TruncatedReplayOutputMatchesLiveBudget)
+{
+    prog::Program p = printingCountdownProgram(3000);
+    auto trace = InstTrace::capture(p);
+    ASSERT_TRUE(trace->programHalted());
+
+    core::SimConfig cfg = driver::paperConfig();
+    cfg.maxInsts = 5000; // well below the ~12000 captured records
+    baseline::PerfectSystem live(p, cfg);
+    baseline::PerfectSystem replay(p, cfg, trace);
+    live.run();
+    replay.run();
+    EXPECT_FALSE(live.output().empty());
+    EXPECT_EQ(replay.output(), live.output());
+    EXPECT_NE(replay.output(), trace->output());
 }
 
 TEST(InstTrace, ReplayRejectsUnderCoveringTrace)

@@ -206,48 +206,5 @@ TEST(JsonWriterTest, TimelineHookEmitsExtraKey)
     EXPECT_EQ(timeline->find("interval")->number, 5);
 }
 
-TEST(RunResultStats, SweepPointsCarrySnapshots)
-{
-    driver::RunRequest req;
-    req.workload = "compress_s";
-    req.config.numNodes = 2;
-    req.config.maxInsts = 5'000;
-    driver::TraceCache cache;
-    auto responses = driver::runMany({req, req}, cache, 2);
-    ASSERT_EQ(responses.size(), 2u);
-    for (const auto &resp : responses) {
-        ASSERT_TRUE(resp.ok()) << resp.error;
-        ASSERT_NE(resp.result.stats, nullptr);
-        std::ostringstream os;
-        resp.result.stats->dump(os);
-        EXPECT_NE(os.str().find("cycles"), std::string::npos);
-        EXPECT_NE(os.str().find("node1:"), std::string::npos);
-    }
-    // Identical points must produce identical snapshots.
-    std::ostringstream a, b;
-    responses[0].result.stats->dump(a);
-    responses[1].result.stats->dump(b);
-    EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(RunResultStats, RunSystemMatchesDirectRun)
-{
-    driver::RunRequest req;
-    req.program = std::make_shared<const prog::Program>(loopProgram());
-    req.config.numNodes = 2;
-    driver::RunResponse resp = driver::runOne(req);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    ASSERT_NE(resp.result.stats, nullptr);
-
-    const prog::Program &p = *req.program;
-    core::DataScalarSystem sys(p, req.config,
-                               driver::figure7PageTable(p, 2));
-    sys.run();
-    std::ostringstream direct, viaDriver;
-    sys.dumpStats(direct);
-    resp.result.stats->dump(viaDriver);
-    EXPECT_EQ(direct.str(), viaDriver.str());
-}
-
 } // namespace
 } // namespace dscalar

@@ -1,11 +1,12 @@
-/** @file Tests for obs::Sampler and its run-loop integration. */
+/** @file Tests for obs::Sampler and its run-loop integration. That
+ *  sampling perturbs no run, and that skipped and stepped runs sample
+ *  the same timeline, is checked by tests/test_identity.cc. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "core/datascalar.hh"
@@ -104,65 +105,6 @@ TEST(SamplerUnitDeath, AddColumnAfterStartPanics)
         "after sampling started");
 }
 
-/** Timeline of one DataScalar run as (cycles, per-column values). */
-std::string
-sampledTimeline(bool event_driven, core::RunResult *result = nullptr)
-{
-    prog::Program p = stridedProgram(6);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-    cfg.eventDriven = event_driven;
-    core::DataScalarSystem sys(p, cfg,
-                               driver::figure7PageTable(p, 2));
-    Sampler sampler(100);
-    sys.setSampler(&sampler);
-    core::RunResult r = sys.run();
-    if (result)
-        *result = r;
-    std::ostringstream os;
-    sampler.writeJson(os);
-    return os.str();
-}
-
-TEST(SamplerIntegration, EventDrivenMatchesCycleStepped)
-{
-    core::RunResult fast, slow;
-    std::string a = sampledTimeline(true, &fast);
-    std::string b = sampledTimeline(false, &slow);
-    EXPECT_EQ(fast.cycles, slow.cycles);
-    // The sampled timeline is byte-identical across run-loop modes:
-    // skipped cycles are no-ops, so sampling inside a skip window
-    // observes exactly the stepped-mode values.
-    EXPECT_EQ(a, b);
-    EXPECT_GT(a.size(), 100u);
-}
-
-TEST(SamplerIntegration, SamplingDoesNotPerturbTheRun)
-{
-    prog::Program p = stridedProgram(6);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-
-    core::DataScalarSystem plain(p, cfg,
-                                 driver::figure7PageTable(p, 2));
-    core::RunResult r0 = plain.run();
-    std::ostringstream s0;
-    plain.dumpStats(s0);
-
-    core::DataScalarSystem sampled(p, cfg,
-                                   driver::figure7PageTable(p, 2));
-    Sampler sampler(50);
-    sampled.setSampler(&sampler);
-    core::RunResult r1 = sampled.run();
-    std::ostringstream s1;
-    sampled.dumpStats(s1);
-
-    EXPECT_EQ(r0.cycles, r1.cycles);
-    EXPECT_EQ(r0.instructions, r1.instructions);
-    EXPECT_EQ(s0.str(), s1.str());
-    EXPECT_GT(sampler.sampleCount(), 0u);
-}
-
 TEST(SamplerIntegration, RegistersExpectedColumns)
 {
     prog::Program p = stridedProgram(2);
@@ -188,22 +130,7 @@ TEST(SamplerIntegration, RegistersExpectedColumns)
     EXPECT_TRUE(has("lead_node"));
 }
 
-TEST(SamplerIntegration, DeterministicUnderConcurrentRuns)
-{
-    // Two simultaneous runs with independent samplers: timelines
-    // must equal a serial run's, byte for byte (the --jobs story:
-    // samplers share nothing).
-    std::string serial = sampledTimeline(true);
-    std::vector<std::string> parallel(2);
-    std::thread t0([&] { parallel[0] = sampledTimeline(true); });
-    std::thread t1([&] { parallel[1] = sampledTimeline(true); });
-    t0.join();
-    t1.join();
-    EXPECT_EQ(parallel[0], serial);
-    EXPECT_EQ(parallel[1], serial);
-}
-
-TEST(SamplerIntegration, RunSystemAcceptsSampler)
+TEST(SamplerIntegration, RunOneAcceptsSampler)
 {
     Sampler sampler(100);
     driver::RunRequest req;

@@ -1,10 +1,10 @@
 /**
  * @file
  * SpanRecorder tests: the span tree, the lap-pattern phase
- * accumulators, the `profile` stats group, and the two contracts the
- * serving path leans on — a disabled recorder costs nothing (proven
- * by counting operator new calls) and an armed recorder never
- * perturbs a run (stats JSON byte-identical with and without spans).
+ * accumulators, the `profile` stats group, and the contract that a
+ * disabled recorder costs nothing (proven by counting operator new
+ * calls). That an armed recorder or a profiled run never perturbs a
+ * simulated number is checked by tests/test_identity.cc.
  */
 
 #include <gtest/gtest.h>
@@ -230,7 +230,7 @@ TEST(ProfileGroup, SchemaAndValues)
     EXPECT_NE(os.str().find("5000"), std::string::npos);
 }
 
-// --- determinism contract -----------------------------------------
+// --- phase attribution on timing runs ----------------------------
 
 driver::RunRequest
 timingRequest()
@@ -242,113 +242,6 @@ timingRequest()
     req.flightRecorder = true;
     return req;
 }
-
-TEST(SpanDeterminism, ArmedSpansDontPerturbStatsJson)
-{
-    // The dsserve case: a recorder rides along (req.spans) but
-    // profile stays off. The stats JSON — the byte-compared serving
-    // payload — must be identical to a span-free run.
-    driver::RunRequest plain = timingRequest();
-    driver::RunResponse base = driver::runOne(plain);
-    ASSERT_TRUE(base.ok()) << base.error;
-
-    obs::SpanRecorder rec;
-    driver::RunRequest armed = timingRequest();
-    armed.spans = &rec;
-    driver::RunResponse spanned = driver::runOne(armed);
-    ASSERT_TRUE(spanned.ok()) << spanned.error;
-
-    EXPECT_EQ(base.statsJson(), spanned.statsJson());
-    EXPECT_EQ(base.output, spanned.output);
-    EXPECT_FALSE(rec.spans().empty())
-        << "the armed recorder must actually have recorded spans";
-    EXPECT_GT(rec.spanUs("sim_run") + 1, 0u);
-}
-
-/** Structural equality over mini_json values. */
-bool
-jsonEq(const mini_json::Value &a, const mini_json::Value &b)
-{
-    if (a.kind != b.kind)
-        return false;
-    switch (a.kind) {
-      case mini_json::Value::Null: return true;
-      case mini_json::Value::Bool: return a.boolean == b.boolean;
-      case mini_json::Value::Number: return a.raw == b.raw;
-      case mini_json::Value::String: return a.str == b.str;
-      case mini_json::Value::Array: {
-        if (a.array.size() != b.array.size())
-            return false;
-        for (std::size_t i = 0; i < a.array.size(); ++i)
-            if (!jsonEq(a.array[i], b.array[i]))
-                return false;
-        return true;
-      }
-      case mini_json::Value::Object: {
-        if (a.object.size() != b.object.size())
-            return false;
-        for (std::size_t i = 0; i < a.object.size(); ++i)
-            if (a.object[i].first != b.object[i].first ||
-                !jsonEq(a.object[i].second, b.object[i].second))
-                return false;
-        return true;
-      }
-    }
-    return false;
-}
-
-TEST(SpanDeterminism, ProfileAddsOnlyProfileGroupAndMetaKey)
-{
-    driver::RunRequest plain = timingRequest();
-    driver::RunResponse base = driver::runOne(plain);
-    ASSERT_TRUE(base.ok()) << base.error;
-
-    driver::RunRequest prof = timingRequest();
-    prof.profile = true;
-    driver::RunResponse profiled = driver::runOne(prof);
-    ASSERT_TRUE(profiled.ok()) << profiled.error;
-
-    EXPECT_EQ(base.result.cycles, profiled.result.cycles);
-    EXPECT_EQ(base.result.instructions, profiled.result.instructions);
-    EXPECT_EQ(base.output, profiled.output);
-
-    std::string err;
-    mini_json::Value a = mini_json::parse(base.statsJson(), err);
-    ASSERT_TRUE(err.empty()) << err;
-    mini_json::Value b = mini_json::parse(profiled.statsJson(), err);
-    ASSERT_TRUE(err.empty()) << err;
-
-    const mini_json::Value *ga = a.find("groups");
-    const mini_json::Value *gb = b.find("groups");
-    ASSERT_NE(ga, nullptr);
-    ASSERT_NE(gb, nullptr);
-    EXPECT_EQ(ga->object.size() + 1, gb->object.size());
-    EXPECT_NE(gb->find("profile"), nullptr)
-        << "profile run must carry the profile group";
-    EXPECT_EQ(ga->find("profile"), nullptr);
-    for (const auto &kv : ga->object) {
-        const mini_json::Value *other = gb->find(kv.first);
-        ASSERT_NE(other, nullptr) << kv.first;
-        EXPECT_TRUE(jsonEq(kv.second, *other))
-            << "group '" << kv.first
-            << "' changed when profiling was enabled";
-    }
-
-    // run_meta: identical apart from the added "profile" key.
-    const mini_json::Value *ma = a.find("run_meta");
-    const mini_json::Value *mb = b.find("run_meta");
-    ASSERT_NE(ma, nullptr);
-    ASSERT_NE(mb, nullptr);
-    EXPECT_EQ(ma->object.size() + 1, mb->object.size());
-    EXPECT_NE(mb->find("profile"), nullptr);
-    for (const auto &kv : ma->object) {
-        const mini_json::Value *other = mb->find(kv.first);
-        ASSERT_NE(other, nullptr) << kv.first;
-        EXPECT_TRUE(jsonEq(kv.second, *other)) << kv.first;
-    }
-}
-
-// --- phase attribution --------------------------------------------
 
 /** Pull groups.profile out of a stats JSON and check that the
  *  phase_* counters sum to total_us within 5% (plus a small absolute

@@ -3,9 +3,9 @@
  * RunRequest API tests: kv helper semantics, parse/format exactness
  * (format ∘ parse ∘ format is the identity on the serializable
  * subset), key-level error reporting, the recovery-default finalize
- * rule, the optional-returning name parsers, runOne's errors and
- * warm-cache identity, and the Figure 7 table's use of its base
- * request.
+ * rule, the optional-returning name parsers, runOne's errors, and
+ * the Figure 7 table's use of its base request. That a warm cache
+ * replays byte-identical stats is checked by tests/test_identity.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "common/kv.hh"
 #include "driver/driver.hh"
-#include "driver/trace_cache.hh"
 
 namespace dscalar {
 namespace {
@@ -114,20 +113,24 @@ TEST(RunRequestFormat, ParseIsExactInverse)
 
 TEST(RunRequestFormat, PathValuesRideTheQuotingLayer)
 {
-    // Paths with spaces — including leading/trailing ones that plain
-    // `key = value` trimming would eat — must survive the round trip
-    // via kv quoting.
-    driver::RunRequest req;
-    req.workload = "go_s";
-    req.perfettoPath = " out dir/trace.json ";
-    std::string text = driver::formatRunRequest(req);
+    // Paths that plain `key = value` trimming would mangle — leading
+    // or trailing blanks, a leading '#' or '"', quotes, backslashes,
+    // tabs and line breaks — must survive the round trip via kv
+    // quoting.
+    for (const char *path :
+         {" out dir/trace.json ", "#a \"b\" c\\d\te\r\nf"}) {
+        driver::RunRequest req;
+        req.workload = "go_s";
+        req.perfettoPath = path;
+        std::string text = driver::formatRunRequest(req);
 
-    std::istringstream in(text);
-    driver::RunRequest parsed;
-    std::string error;
-    ASSERT_TRUE(driver::parseRunRequest(in, parsed, error)) << error;
-    EXPECT_EQ(parsed.perfettoPath, " out dir/trace.json ");
-    EXPECT_EQ(driver::formatRunRequest(parsed), text);
+        std::istringstream in(text);
+        driver::RunRequest parsed;
+        std::string error;
+        ASSERT_TRUE(driver::parseRunRequest(in, parsed, error)) << error;
+        EXPECT_EQ(parsed.perfettoPath, path);
+        EXPECT_EQ(driver::formatRunRequest(parsed), text);
+    }
 }
 
 TEST(RunRequestFormat, DefaultRequestRoundTrips)
@@ -185,6 +188,14 @@ TEST(RunRequestParse, Errors)
          "bad value '0' for 'bshr_capacity' (expected a positive "
          "entry count)"},
         {"workload = go_s\nnodes 4\n\n", "line 2: missing '='"},
+        {"fault_drop =\n\n", "bad value '' for 'fault_drop'"},
+        // Malformed quoting: unterminated, junk after the closing
+        // quote, an unknown escape, a dangling escape.
+        {"perfetto = \"abc\n\n", "line 1: missing '=' or malformed value"},
+        {"perfetto = \"a\"b\n\n", "line 1: missing '=' or malformed value"},
+        {"perfetto = \"a\\q\"\n\n",
+         "line 1: missing '=' or malformed value"},
+        {"perfetto = \"a\\\n\n", "line 1: missing '=' or malformed value"},
     };
     for (const auto &[block, expected] : cases) {
         std::istringstream in(block);
@@ -319,31 +330,6 @@ TEST(RunOne, ShortTimeoutUnderHardBshrIsAnError)
                            "nodes = 4\nbshr_hard = 1\n"
                            "rerequest_timeout = 100\n"
                            "max_insts = 50000\n\n");
-}
-
-TEST(RunOne, WarmCacheStatsJsonByteIdentical)
-{
-    driver::RunRequest req;
-    req.workload = "li_s";
-    req.config.maxInsts = 2000;
-
-    // Cold: no cache at all (fresh build + live execution).
-    driver::RunResponse cold = driver::runOne(req);
-    ASSERT_TRUE(cold.ok()) << cold.error;
-    EXPECT_FALSE(cold.cacheHit);
-
-    // Warm: second acquire of the same (workload, scale, budget)
-    // replays the cached trace. SPSD: byte-identical stats.
-    driver::TraceCache cache;
-    driver::RunResponse first = driver::runOne(req, &cache);
-    driver::RunResponse warm = driver::runOne(req, &cache);
-    ASSERT_TRUE(warm.ok()) << warm.error;
-    EXPECT_FALSE(first.cacheHit);
-    EXPECT_TRUE(warm.cacheHit);
-    EXPECT_EQ(cold.statsJson(), first.statsJson());
-    EXPECT_EQ(cold.statsJson(), warm.statsJson());
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.captures(), 1u);
 }
 
 /** The Figure 7 table takes every run flag from its base request:

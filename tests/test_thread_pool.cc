@@ -1,8 +1,7 @@
 /** @file
- * Tests of the fixed-size thread pool and of the determinism
- * guarantee the parallel experiment sweeps rely on: a sweep's output
- * is a pure function of its points, independent of job count and
- * scheduling.
+ * Tests of the fixed-size thread pool and parallelFor. That a
+ * parallel runMany is byte-identical to serial runs is checked by
+ * tests/test_identity.cc.
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +9,9 @@
 #include <atomic>
 #include <cstddef>
 #include <numeric>
-#include <sstream>
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "driver/driver.hh"
 
 namespace dscalar {
 namespace {
@@ -68,28 +65,6 @@ TEST(ParallelFor, ZeroJobsMeansHardwareConcurrency)
                         [&](std::size_t i) { ++hits[i]; });
     for (int h : hits)
         EXPECT_EQ(h, 1);
-}
-
-/** The satellite requirement: a parallel Figure 7 sweep must be
- *  byte-identical to the serial one, run after run. */
-TEST(SweepDeterminism, ParallelMatchesSerialByteForByte)
-{
-    const std::vector<std::string> names{"compress_s", "go_s"};
-    constexpr InstSeq kBudget = 8000;
-
-    driver::RunRequest base;
-    base.config.maxInsts = kBudget;
-
-    auto render = [&](unsigned jobs) {
-        std::ostringstream ss;
-        driver::fig7IpcTable(names, base, jobs).print(ss);
-        return ss.str();
-    };
-
-    std::string serial = render(1);
-    EXPECT_FALSE(serial.empty());
-    for (int rep = 0; rep < 3; ++rep)
-        EXPECT_EQ(render(4), serial) << "repeat " << rep;
 }
 
 } // namespace
