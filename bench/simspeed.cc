@@ -13,7 +13,8 @@
  * twins disable the shared trace capture (driver::TraceCache), so
  * the win from executing each workload once is visible directly.
  * BM_TraceCaptureCold times one functional trace capture, the cost
- * of every TraceCache miss.
+ * of every TraceCache miss, and reports the capture's size as
+ * bytes_per_record (InstTrace::memoryBytes() / length()).
  *
  * Smoke variants (--benchmark_filter=Smoke) run one tiny iteration
  * of every engine; the custom main() exits non-zero if any run
@@ -78,13 +79,17 @@ BM_TraceCaptureCold(benchmark::State &state)
 {
     const prog::Program &p = compressProgram();
     InstSeq budget = static_cast<InstSeq>(state.range(0));
+    double bytes_per_record = 0;
     for (auto _ : state) {
         auto t = func::InstTrace::capture(p, budget);
         benchmark::DoNotOptimize(t);
+        bytes_per_record = static_cast<double>(t->memoryBytes()) /
+                           static_cast<double>(t->length());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(budget));
+    state.counters["bytes_per_record"] = bytes_per_record;
 }
 
 /** Live runs of timingProgram() on @p system for range(0)

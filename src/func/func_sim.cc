@@ -234,26 +234,26 @@ FuncSim::stepImpl(DynInst *out)
 
       case Opcode::BEQ:
         if (s == t)
-            next_pc = cur_pc + 4 + 4 * inst.imm;
+            next_pc = isa::directTarget(inst, cur_pc);
         break;
       case Opcode::BNE:
         if (s != t)
-            next_pc = cur_pc + 4 + 4 * inst.imm;
+            next_pc = isa::directTarget(inst, cur_pc);
         break;
       case Opcode::BLT:
         if (s < t)
-            next_pc = cur_pc + 4 + 4 * inst.imm;
+            next_pc = isa::directTarget(inst, cur_pc);
         break;
       case Opcode::BGE:
         if (s >= t)
-            next_pc = cur_pc + 4 + 4 * inst.imm;
+            next_pc = isa::directTarget(inst, cur_pc);
         break;
       case Opcode::J:
-        next_pc = static_cast<Addr>(inst.imm) * 4;
+        next_pc = isa::directTarget(inst, cur_pc);
         break;
       case Opcode::JAL:
         writeReg(31, cur_pc + 4);
-        next_pc = static_cast<Addr>(inst.imm) * 4;
+        next_pc = isa::directTarget(inst, cur_pc);
         break;
       case Opcode::JR:
         next_pc = us;

@@ -9,47 +9,72 @@ namespace dscalar {
 namespace func {
 
 InstTrace::Chunk::Layout
-InstTrace::Chunk::layout(std::size_t count, std::size_t next_pcs,
-                         std::size_t eff_addrs)
+InstTrace::Chunk::layout(std::size_t count, std::size_t targets,
+                         std::size_t eff_addrs, std::size_t overrides)
 {
+    std::size_t mask_bytes = (count + 63) / 64 * sizeof(std::uint64_t);
     Layout l{};
-    l.nonSeq = (count * sizeof(std::uint32_t) + 7) & ~std::size_t(7);
-    l.nextPc = l.nonSeq + (count + 63) / 64 * sizeof(std::uint64_t);
-    l.effAddr = l.nextPc + next_pcs * sizeof(Addr);
-    l.bytes = l.effAddr + eff_addrs * sizeof(Addr);
+    l.override = mask_bytes;
+    l.target = l.override + mask_bytes;
+    l.effAddr = l.target + targets * sizeof(Addr);
+    l.overrideWord = l.effAddr + eff_addrs * sizeof(Addr);
+    l.bytes = l.overrideWord + overrides * sizeof(std::uint32_t);
     return l;
 }
 
-InstTrace::Chunk::Builder::Builder(std::size_t reserve)
+InstTrace::Chunk::Builder::Builder(std::shared_ptr<const TextImage> text,
+                                   std::size_t reserve)
+    : text_(std::move(text))
 {
-    words_.reserve(reserve);
-    nonSeq_.reserve((reserve + 63) / 64);
-    nextPcs_.reserve(reserve);
+    panic_if(!text_, "InstTrace::Chunk::Builder needs a text image");
+    taken_.reserve((reserve + 63) / 64);
+    override_.reserve((reserve + 63) / 64);
     effAddrs_.reserve(reserve);
 }
 
 const char *
-InstTrace::Chunk::Builder::append(Addr pc, std::uint32_t word,
+InstTrace::Chunk::Builder::append(Addr pc, const isa::Instruction &inst,
                                   Addr eff_addr, unsigned mem_size,
                                   Addr next_pc)
 {
-    if (!words_.empty() && pc != expectPc_)
+    if (count_ != 0 && pc != expectPc_)
         return "pc is not the previous record's nextPc";
-    unsigned width = isa::memWidth(word);
-    if (mem_size != width || (!width && eff_addr != invalidAddr))
+    const TextImage::Entry *e = text_->find(pc);
+    TextImage::Entry patched;
+    std::uint32_t word = 0;
+    bool over = !e || !(e->inst == inst);
+    if (over) {
+        // Stored as its word, so it must be what decode() gives back.
+        word = isa::encode(inst);
+        if (isa::decode(word) != inst)
+            return "instruction has no encoding";
+        patched = TextImage::predecode(inst, pc);
+        e = &patched;
+    }
+    if (mem_size != e->width || (!e->width && eff_addr != invalidAddr))
         return "memSize or effAddr is not what the opcode implies";
+    bool taken = next_pc != pc + 4;
+    if (taken && !e->indirect && next_pc != e->target)
+        return "nextPc is neither pc + 4 nor the transfer's target";
 
-    std::size_t i = words_.size();
+    std::size_t i = count_++;
     if (i == 0)
         firstPc_ = pc;
-    if (i % 64 == 0)
-        nonSeq_.push_back(0);
-    words_.push_back(word);
-    if (width)
+    if (i % 64 == 0) {
+        taken_.push_back(0);
+        override_.push_back(0);
+    }
+    std::uint64_t bit = std::uint64_t(1) << (i % 64);
+    if (over) {
+        override_.back() |= bit;
+        overrideWords_.push_back(word);
+    }
+    if (e->width)
         effAddrs_.push_back(eff_addr);
-    if (next_pc != pc + 4) {
-        nonSeq_.back() |= std::uint64_t(1) << (i % 64);
-        nextPcs_.push_back(next_pc);
+    if (taken) {
+        taken_.back() |= bit;
+        if (e->indirect)
+            targets_.push_back(next_pc);
     }
     expectPc_ = next_pc;
     return nullptr;
@@ -59,10 +84,12 @@ std::shared_ptr<const InstTrace::Chunk>
 InstTrace::Chunk::Builder::finish() const
 {
     auto c = std::make_shared<Chunk>();
+    c->text = text_;
     c->firstPc = firstPc_;
-    c->count = words_.size();
-    c->nextPcCount = nextPcs_.size();
+    c->count = count_;
+    c->targetCount = targets_.size();
     c->effAddrCount = effAddrs_.size();
+    c->overrideCount = overrideWords_.size();
     Layout l = c->layout();
     // Value-initialised, so alignment padding is zero and the block
     // is a deterministic function of the records.
@@ -73,14 +100,18 @@ InstTrace::Chunk::Builder::finish() const
             std::memcpy(dst, column.data(),
                         column.size() * sizeof(column[0]));
     };
-    put(base, words_);
-    put(base + l.nonSeq, nonSeq_);
-    put(base + l.nextPc, nextPcs_);
+    put(base, taken_);
+    put(base + l.override, override_);
+    put(base + l.target, targets_);
     put(base + l.effAddr, effAddrs_);
-    c->word = reinterpret_cast<const std::uint32_t *>(base);
-    c->nonSeq = reinterpret_cast<const std::uint64_t *>(base + l.nonSeq);
-    c->nextPc = reinterpret_cast<const Addr *>(base + l.nextPc);
+    put(base + l.overrideWord, overrideWords_);
+    c->taken = reinterpret_cast<const std::uint64_t *>(base);
+    c->override =
+        reinterpret_cast<const std::uint64_t *>(base + l.override);
+    c->target = reinterpret_cast<const Addr *>(base + l.target);
     c->effAddr = reinterpret_cast<const Addr *>(base + l.effAddr);
+    c->overrideWord =
+        reinterpret_cast<const std::uint32_t *>(base + l.overrideWord);
     return c;
 }
 
@@ -91,6 +122,8 @@ InstTrace::memoryBytes() const
                         outputMarks_.capacity() * sizeof(OutputMark);
     for (const auto &c : chunks_)
         total += sizeof(Chunk) + c->bytes();
+    if (!chunks_.empty())
+        total += sizeof(TextImage) + chunks_.front()->text->bytes();
     return total;
 }
 
@@ -112,19 +145,17 @@ InstTrace::outputPrefix(InstSeq max_insts) const
 }
 
 std::shared_ptr<const InstTrace::Chunk>
-InstTrace::captureChunk(FuncSim &sim, InstSeq first_seq,
+InstTrace::captureChunk(const std::shared_ptr<const TextImage> &text,
+                        FuncSim &sim, InstSeq first_seq,
                         InstSeq records,
                         std::vector<OutputMark> *marks)
 {
-    Chunk::Builder chunk(static_cast<std::size_t>(records));
+    Chunk::Builder chunk(text, static_cast<std::size_t>(records));
     DynInst rec;
     std::size_t out_len = sim.output().size();
     for (InstSeq i = 0; i < records && sim.step(&rec); ++i) {
-        // encode() round-trips through decode(), so the stored word
-        // reproduces the retired instruction exactly.
-        const char *why =
-            chunk.append(rec.pc, isa::encode(rec.inst), rec.effAddr,
-                         rec.memSize, rec.nextPc);
+        const char *why = chunk.append(rec.pc, rec.inst, rec.effAddr,
+                                       rec.memSize, rec.nextPc);
         panic_if(why, "InstTrace::captureChunk: record %llu: %s",
                  static_cast<unsigned long long>(first_seq + i), why);
         if (marks && sim.output().size() != out_len) {
@@ -140,13 +171,15 @@ std::shared_ptr<const InstTrace>
 InstTrace::capture(const prog::Program &program, InstSeq max_insts)
 {
     FuncSim sim(program);
+    auto text = std::make_shared<const TextImage>(program);
     auto trace = std::shared_ptr<InstTrace>(new InstTrace());
     InstSeq budget = max_insts ? max_insts : ~static_cast<InstSeq>(0);
     InstSeq n = 0;
     // A running FuncSim always steps, so every chunk is non-empty.
     while (n < budget && !sim.halted()) {
         trace->chunks_.push_back(
-            captureChunk(sim, n, std::min(budget - n, kChunkRecords),
+            captureChunk(text, sim, n,
+                         std::min(budget - n, kChunkRecords),
                          &trace->outputMarks_));
         n += trace->chunks_.back()->size();
     }

@@ -8,14 +8,21 @@
  * once by a single FuncSim run and then shared read-only between any
  * number of consumers, on any thread, via std::shared_ptr.
  *
- * Each 4096-record chunk stores the stream in one compact layout: the
- * raw instruction words (4 B each), a bitmask with one bit per record set
- * when nextPc != pc + 4, the nextPc of just those records, and the
- * effAddr of just the memory ops, back to back in one 8-byte-aligned
- * block. The first pc sits beside the block; every later pc is the
- * previous nextPc, memSize follows from the opcode and the sequence
- * number from the position: 5-8 B/record on the paper's workloads. A
- * Chunk::Cursor reads the records in order.
+ * Each 4096-record chunk stores only what the program text cannot
+ * tell. Every chunk shares one immutable TextImage, the predecoded
+ * text of the captured program, and a record whose pc is a text word
+ * holding its retired instruction takes its instruction, access
+ * width and direct taken target from there. The chunk keeps one
+ * taken bit per record (nextPc != pc + 4), one override bit per
+ * record, and three sparse columns: the effAddr of each memory op,
+ * the target of each taken JR, and the instruction word of each
+ * override. A record is an override when its pc is not a text word
+ * or the instruction it retired differs from the text's (code a
+ * store rewrote). The first pc sits beside the block; every later pc
+ * is the previous nextPc and the sequence number follows from the
+ * position: 1.0-2.9 B/record, the text image included, on the
+ * Figure 7 workloads at 100k instructions. A Chunk::Cursor reads the
+ * records in order.
  *
  * Chunks are individually reference counted so a consumer that has
  * advanced past a chunk can drop its reference and let the memory go
@@ -33,6 +40,7 @@
 
 #include "common/types.hh"
 #include "func/func_sim.hh"
+#include "func/text_image.hh"
 #include "isa/instruction.hh"
 #include "prog/program.hh"
 
@@ -50,33 +58,39 @@ class InstTrace
     static constexpr InstSeq kChunkMask = kChunkRecords - 1;
 
     /**
-     * One block of consecutive dynamic instructions in the compact
-     * layout (see the file comment). The column views are the read
-     * interface; they point into the chunk's own block. A chunk is
-     * immutable once built.
+     * One block of consecutive dynamic instructions in the
+     * text-backed layout (see the file comment). The column views are
+     * the read interface; they point into the chunk's own block. A
+     * chunk is immutable once built.
      */
     struct Chunk
     {
-        /** Byte offsets of each column inside a block; word starts
+        /** Byte offsets of each column inside a block; taken starts
          *  at 0 and every column starts 8-byte aligned. */
         struct Layout
         {
-            std::size_t nonSeq;
-            std::size_t nextPc;
+            std::size_t override;
+            std::size_t target;
             std::size_t effAddr;
+            std::size_t overrideWord;
             std::size_t bytes; ///< whole block
         };
-        static Layout layout(std::size_t count, std::size_t next_pcs,
-                             std::size_t eff_addrs);
+        static Layout layout(std::size_t count, std::size_t targets,
+                             std::size_t eff_addrs,
+                             std::size_t overrides);
 
-        Addr firstPc = 0;             ///< pc of record 0
-        std::size_t count = 0;        ///< records
-        std::size_t nextPcCount = 0;  ///< set bits of nonSeq
-        std::size_t effAddrCount = 0; ///< memory-op records
-        const std::uint32_t *word = nullptr;
-        const std::uint64_t *nonSeq = nullptr; ///< bit i: record i
-        const Addr *nextPc = nullptr;
+        /** The text the records are laid out against. */
+        std::shared_ptr<const TextImage> text;
+        Addr firstPc = 0;              ///< pc of record 0
+        std::size_t count = 0;         ///< records
+        std::size_t targetCount = 0;   ///< taken JRs
+        std::size_t effAddrCount = 0;  ///< memory-op records
+        std::size_t overrideCount = 0; ///< set bits of override
+        const std::uint64_t *taken = nullptr;    ///< bit i: record i
+        const std::uint64_t *override = nullptr; ///< bit i: record i
+        const Addr *target = nullptr;
         const Addr *effAddr = nullptr;
+        const std::uint32_t *overrideWord = nullptr;
 
         /** The block the column views point into. */
         std::unique_ptr<unsigned char[]> owned;
@@ -85,9 +99,10 @@ class InstTrace
         Layout
         layout() const
         {
-            return layout(count, nextPcCount, effAddrCount);
+            return layout(count, targetCount, effAddrCount,
+                          overrideCount);
         }
-        /** Heap payload of the block. */
+        /** Heap payload of the block (the shared text excluded). */
         std::size_t bytes() const { return layout().bytes; }
 
         class Cursor;
@@ -113,15 +128,17 @@ class InstTrace
 
     /**
      * The one capture routine, shared by capture() and a
-     * program-backed ooo::OracleStream: step @p sim for up to
-     * @p records instructions into a new chunk (fewer when the
-     * program halts inside it). With @p marks non-null, every record
-     * that printed appends an OutputMark; @p first_seq is the
-     * sequence number of the chunk's first record. Panics when a
-     * record breaks a derivation the layout relies on.
+     * program-backed ooo::OracleStream: step @p sim, which runs the
+     * program @p text was built from, for up to @p records
+     * instructions into a new chunk (fewer when the program halts
+     * inside it). With @p marks non-null, every record that printed
+     * appends an OutputMark; @p first_seq is the sequence number of
+     * the chunk's first record. Panics when a record breaks a
+     * derivation the layout relies on.
      */
     static std::shared_ptr<const Chunk>
-    captureChunk(FuncSim &sim, InstSeq first_seq, InstSeq records,
+    captureChunk(const std::shared_ptr<const TextImage> &text,
+                 FuncSim &sim, InstSeq first_seq, InstSeq records,
                  std::vector<OutputMark> *marks = nullptr);
 
     /** Number of captured records. */
@@ -156,7 +173,8 @@ class InstTrace
         return chunks_[index];
     }
 
-    /** Approximate heap footprint of the captured payload in bytes. */
+    /** Approximate heap footprint of the captured payload in bytes,
+     *  the shared text image counted once. */
     std::size_t memoryBytes() const;
 
     /**
@@ -181,7 +199,8 @@ class InstTrace::Chunk::Cursor
 {
   public:
     explicit Cursor(const Chunk &chunk)
-        : chunk_(chunk), pc_(chunk.firstPc)
+        : chunk_(&chunk), entries_(chunk.text->entries()),
+          base_(chunk.text->base()), pc_(chunk.firstPc)
     {}
 
     /** Expand the next record, numbered @p seq, into the DynInst a
@@ -193,70 +212,81 @@ class InstTrace::Chunk::Cursor
     void
     next(InstSeq seq, DynInst *out, std::size_t n)
     {
-        // Two passes: the stream fields, then the decode. Split this
-        // way the counters below stay in registers.
+        const Chunk &c = *chunk_;
         for (std::size_t k = 0; k < n; ++k) {
             std::size_t i = i_ + k;
-            unsigned width = isa::memWidth(chunk_.word[i]);
-            unsigned mem = width != 0;
-            unsigned jump = (chunk_.nonSeq[i >> 6] >> (i & 63)) & 1;
+            bool over = (c.override[i >> 6] >> (i & 63)) & 1;
+            const TextImage::Entry e =
+                over ? TextImage::predecode(
+                           isa::decode(c.overrideWord[over_++]), pc_)
+                     : entries_[(pc_ - base_) >> 2];
+            unsigned mem = e.width != 0;
+            unsigned taken = (c.taken[i >> 6] >> (i & 63)) & 1;
+            unsigned stored = taken & e.indirect;
             // Both sparse columns are read whether or not the record
             // has an entry, one slot early when it has none, so the
             // selects need no branch. Slot -1 still lies in the
-            // block: the bitmask (at least one word) precedes
-            // nextPc, which precedes effAddr.
-            Addr eff = chunk_.effAddr[std::ptrdiff_t(mem_ + mem) - 1];
-            Addr target =
-                chunk_.nextPc[std::ptrdiff_t(jump_ + jump) - 1];
+            // block: the bitmasks (at least one word each) precede
+            // target, which precedes effAddr.
+            Addr eff = c.effAddr[std::ptrdiff_t(mem_ + mem) - 1];
+            Addr target = c.target[std::ptrdiff_t(jump_ + stored) - 1];
             DynInst &rec = out[k];
             rec.seq = seq + k;
             rec.pc = pc_;
+            rec.inst = e.inst;
             rec.effAddr = mem ? eff : invalidAddr;
-            rec.memSize = width;
-            pc_ = jump ? target : pc_ + 4;
+            rec.memSize = e.width;
+            pc_ = taken ? (stored ? target : e.target) : pc_ + 4;
             rec.nextPc = pc_;
             mem_ += mem;
-            jump_ += jump;
+            jump_ += stored;
         }
-        for (std::size_t k = 0; k < n; ++k)
-            out[k].inst = isa::decode(chunk_.word[i_ + k]);
         i_ += n;
     }
 
   private:
-    const Chunk &chunk_;
+    const Chunk *chunk_;
+    const TextImage::Entry *entries_; ///< the text's, by word index
+    Addr base_;                       ///< the text's first pc
     Addr pc_;
     std::size_t i_ = 0;    ///< next record
     std::size_t mem_ = 0;  ///< next effAddr entry
-    std::size_t jump_ = 0; ///< next nextPc entry
+    std::size_t jump_ = 0; ///< next target entry
+    std::size_t over_ = 0; ///< next overrideWord entry
 };
 
 /** Packs records appended in order into one chunk. */
 class InstTrace::Chunk::Builder
 {
   public:
-    explicit Builder(std::size_t reserve = 0);
+    explicit Builder(std::shared_ptr<const TextImage> text,
+                     std::size_t reserve = 0);
 
     /**
      * Append one record. @return nullptr, or — appending nothing —
      * why the layout cannot carry it: its pc is not the previous
-     * record's nextPc, or its memSize / effAddr is not what its
-     * opcode implies (the access width for memory ops; 0 and
-     * invalidAddr otherwise).
+     * record's nextPc; its instruction has no encoding; its memSize
+     * / effAddr is not what its opcode implies (the access width for
+     * memory ops; 0 and invalidAddr otherwise); or it is a taken
+     * transfer whose nextPc the instruction does not imply (a direct
+     * branch or jump's nextPc is its target; only a JR's is stored).
      */
-    const char *append(Addr pc, std::uint32_t word, Addr eff_addr,
-                       unsigned mem_size, Addr next_pc);
+    const char *append(Addr pc, const isa::Instruction &inst,
+                       Addr eff_addr, unsigned mem_size, Addr next_pc);
 
-    std::size_t size() const { return words_.size(); }
+    std::size_t size() const { return count_; }
 
     /** The appended records as a chunk that owns its block. */
     std::shared_ptr<const Chunk> finish() const;
 
   private:
-    std::vector<std::uint32_t> words_;
-    std::vector<std::uint64_t> nonSeq_;
-    std::vector<Addr> nextPcs_;
+    std::shared_ptr<const TextImage> text_;
+    std::size_t count_ = 0;
+    std::vector<std::uint64_t> taken_;
+    std::vector<std::uint64_t> override_;
+    std::vector<Addr> targets_;
     std::vector<Addr> effAddrs_;
+    std::vector<std::uint32_t> overrideWords_;
     Addr firstPc_ = 0;
     Addr expectPc_ = 0; ///< the last record's nextPc
 };

@@ -15,7 +15,6 @@
 #ifndef DSCALAR_ISA_INSTRUCTION_HH
 #define DSCALAR_ISA_INSTRUCTION_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -223,22 +222,28 @@ decode(std::uint32_t word)
     return inst;
 }
 
-/** Access width in bytes of the load or store @p word encodes; 0
- *  for every other word, invalid ones included. One table lookup. */
-inline unsigned
-memWidth(std::uint32_t word)
+/**
+ * Where the direct branch or jump @p inst at @p pc goes when taken:
+ * pc + 4 + 4 * imm for a compare-and-branch, imm * 4 for J and JAL;
+ * invalidAddr for every other instruction (JR's target is a register
+ * value). The interpreter and the trace layout both call this, so a
+ * replayed trace cannot derive another target than the one executed.
+ */
+constexpr Addr
+directTarget(const Instruction &inst, Addr pc)
 {
-    static constexpr auto kWidth = [] {
-        std::array<std::uint8_t, 64> width{};
-        for (unsigned op = 0; op < width.size(); ++op) {
-            Instruction inst;
-            inst.op = static_cast<Opcode>(op);
-            if (validWord(op << 26) && inst.isMem())
-                width[op] = static_cast<std::uint8_t>(inst.memSize());
-        }
-        return width;
-    }();
-    return kWidth[word >> 26];
+    switch (inst.op) {
+      case Opcode::BEQ:
+      case Opcode::BNE:
+      case Opcode::BLT:
+      case Opcode::BGE:
+        return pc + 4 + 4 * inst.imm;
+      case Opcode::J:
+      case Opcode::JAL:
+        return static_cast<Addr>(inst.imm) * 4;
+      default:
+        return invalidAddr;
+    }
 }
 
 /** Human-readable rendering, e.g.\ "addi r4, r4, 8". */

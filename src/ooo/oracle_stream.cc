@@ -15,7 +15,8 @@ constexpr unsigned kChunkShift = func::InstTrace::kChunkShift;
 
 OracleStream::OracleStream(const prog::Program &program,
                            InstSeq max_insts)
-    : sim_(std::make_unique<func::FuncSim>(program))
+    : sim_(std::make_unique<func::FuncSim>(program)),
+      text_(std::make_shared<const func::TextImage>(program))
 {
     if (max_insts)
         sourceEnd_ = max_insts;
@@ -67,7 +68,8 @@ OracleStream::openChunk()
         panic_if(sourceChunks_.size() != ci,
                  "stream captures chunk %zu out of order", ci);
         sourceChunks_.push_back(func::InstTrace::captureChunk(
-            *sim_, limit_, std::min(sourceEnd_, cursorEnd_) - limit_));
+            text_, *sim_, limit_,
+            std::min(sourceEnd_, cursorEnd_) - limit_));
         if (sim_->halted()) {
             sourceEnd_ = limit_ + sourceChunks_.back()->size();
             sourceHalts_ = true;

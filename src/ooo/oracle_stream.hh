@@ -157,6 +157,9 @@ class OracleStream
     /** Program-backed only: executes the program as chunks are
      *  captured. */
     std::unique_ptr<func::FuncSim> sim_;
+    /** Program-backed only: the text the chunks are laid out
+     *  against. */
+    std::shared_ptr<const func::TextImage> text_;
     /** Output of the replayed prefix (trace-backed only). */
     std::string traceOutput_;
     /** Source chunk per chunk index (the stream does not pin a whole

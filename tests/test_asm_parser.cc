@@ -154,6 +154,72 @@ a1: a2: syscall 1
     EXPECT_EQ(sim.output(), "3\n");
 }
 
+TEST(AsmParser, StackAndTextDirectives)
+{
+    Program p = assembleSource(R"(
+        .text                    ; accepted, no effect
+        .stack 32768
+        li   a0, 4
+        syscall 1
+        halt
+    )");
+    EXPECT_EQ(p.stackSize, 32768u);
+    func::FuncSim sim(p);
+    sim.run(100);
+    EXPECT_EQ(sim.output(), "4\n");
+}
+
+TEST(AsmParser, LoadUpperImmediate)
+{
+    // The RI format: rd, imm16 into bits 31:16.
+    auto sim = runSource(R"(
+        lui  a0, 3
+        syscall 1
+        halt
+    )");
+    EXPECT_EQ(sim.output(), "196608\n");
+}
+
+TEST(AsmParser, BranchesAndJump)
+{
+    // beq/bne/blt/bge taken and not taken, and a j over dead code.
+    auto sim = runSource(R"(
+        li   t0, 3
+        li   t1, 5
+        li   a0, 0
+        beq  t0, t1, bad
+        beq  t0, t0, eq
+        j    bad
+eq:     blt  t1, t0, bad
+        blt  t0, t1, lt
+        j    bad
+lt:     bge  t0, t1, bad
+        bge  t1, t0, ge
+        j    bad
+ge:     bne  t0, t0, bad
+        addi a0, a0, 1
+        j    out
+bad:    li   a0, 99
+out:    syscall 1
+        halt
+    )");
+    EXPECT_EQ(sim.output(), "1\n");
+}
+
+TEST(AsmParserDeath, BadInteger)
+{
+    EXPECT_EXIT(assembleSource("li t0, 12abc\nhalt\n"),
+                ::testing::ExitedWithCode(1),
+                "asm line 1: bad integer '12abc'");
+}
+
+TEST(AsmParserDeath, BadMemoryOperand)
+{
+    EXPECT_EXIT(assembleSource("nop\nlw t0, 4t1\nhalt\n"),
+                ::testing::ExitedWithCode(1),
+                "asm line 2: bad memory operand '4t1'");
+}
+
 TEST(AsmParserDeath, UnknownMnemonic)
 {
     EXPECT_EXIT(assembleSource("frobnicate t0, t1\nhalt\n"),

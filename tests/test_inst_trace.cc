@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "baseline/perfect.hh"
 #include "core/distribution.hh"
 #include "driver/driver.hh"
+#include "driver/run_request.hh"
 #include "func/inst_trace.hh"
 #include "ooo/oracle_stream.hh"
+#include "prog/asm_parser.hh"
 #include "prog/assembler.hh"
 #include "workloads/workloads.hh"
 
@@ -56,95 +59,243 @@ printingCountdownProgram(int n)
     return p;
 }
 
+/** The word of @p op with the given fields, as a decimal literal
+ *  for an assembly source. */
+std::string
+word(isa::Opcode op, RegIndex rd, RegIndex rs, RegIndex rt,
+     std::int32_t imm)
+{
+    isa::Instruction inst;
+    inst.op = op;
+    inst.rd = rd;
+    inst.rs = rs;
+    inst.rt = rt;
+    inst.imm = imm;
+    return std::to_string(isa::encode(inst));
+}
+
+/**
+ * A loop that rewrites one of its own text words: after the second
+ * trip, the `addi` at `slot` becomes a taken `beq` that skips the
+ * next instruction. Prints 22 for any trip count of at least 2.
+ */
+prog::Program
+selfModifyingProgram(int iterations)
+{
+    // As a signed 32-bit value, so li accepts it.
+    std::string beq = std::to_string(static_cast<std::int32_t>(
+        std::stoul(word(isa::Opcode::BEQ, 0, zero, zero, 1))));
+    return prog::assembleSource(R"(
+        jal  base                 ; ra = base
+base:   addi s0, zero, 0
+        addi a0, zero, 0
+        li   s1, )" + std::to_string(iterations) + R"(
+loop:   addi a0, a0, 1            ; slot: base + 12
+        addi a0, a0, 10
+        addi s0, s0, 1
+        addi t1, zero, 2
+        blt  s0, t1, next
+        li   t2, )" + beq + R"(
+        sw   t2, 12(ra)           ; rewrite the slot
+next:   bge  s0, s1, done
+        j    loop
+done:   syscall 1
+        halt
+    )", "self_modifying");
+}
+
+/** Calls a loop whose words were poked into a data page: every
+ *  record there lies outside the text. Prints 35. */
+prog::Program
+dataPageCodeProgram()
+{
+    return prog::assembleSource(R"(
+        .global code, 64
+        .word   code, 0, )" + word(isa::Opcode::ADDI, t2, t2, 0, -1) + R"(
+        .word   code, 4, )" + word(isa::Opcode::ADD, a0, a0, t3, 0) + R"(
+        .word   code, 8, )" + word(isa::Opcode::BNE, 0, t2, zero, -3) + R"(
+        .word   code, 12, )" + word(isa::Opcode::JR, 0, ra, 0, 0) + R"(
+        la   t0, code
+        addi t2, zero, 5
+        addi t3, zero, 7
+        addi a0, zero, 0
+        beq  t3, zero, skip
+        jal  tramp
+skip:   syscall 1
+        halt
+tramp:  jr   t0
+    )", "data_page_code");
+}
+
+/**
+ * Check @p trace record by record, field by field, against a fresh
+ * functional run of @p p. @return the trace's override records.
+ */
+std::size_t
+expectMatchesLiveRun(const prog::Program &p, const InstTrace &trace)
+{
+    FuncSim sim(p);
+    InstSeq seq = 0;
+    std::size_t overrides = 0;
+    for (std::size_t ci = 0; ci < trace.numChunks(); ++ci) {
+        const InstTrace::Chunk &chunk = *trace.chunk(ci);
+        overrides += chunk.overrideCount;
+        InstTrace::Chunk::Cursor cursor(chunk);
+        for (std::size_t i = 0; i < chunk.size(); ++i, ++seq) {
+            DynInst live;
+            EXPECT_TRUE(sim.step(&live));
+            DynInst replayed;
+            cursor.next(seq, replayed);
+            EXPECT_EQ(replayed.seq, live.seq);
+            EXPECT_EQ(replayed.pc, live.pc);
+            EXPECT_EQ(replayed.inst, live.inst);
+            EXPECT_EQ(replayed.effAddr, live.effAddr);
+            EXPECT_EQ(replayed.memSize, live.memSize);
+            EXPECT_EQ(replayed.nextPc, live.nextPc);
+            if (::testing::Test::HasFailure())
+                return overrides;
+        }
+    }
+    EXPECT_EQ(seq, trace.length());
+    EXPECT_EQ(sim.halted(), trace.programHalted());
+    return overrides;
+}
+
 TEST(InstTrace, CaptureMatchesLiveExecution)
 {
     prog::Program p = compressProgram();
     constexpr InstSeq budget = 8000;
     auto trace = InstTrace::capture(p, budget);
     ASSERT_EQ(trace->length(), budget);
-
-    // Every captured record must round-trip to exactly what a fresh
-    // functional run produces, field by field.
-    FuncSim sim(p);
-    InstSeq seq = 0;
-    for (std::size_t ci = 0; ci < trace->numChunks(); ++ci) {
-        const InstTrace::Chunk &chunk = *trace->chunk(ci);
-        InstTrace::Chunk::Cursor cursor(chunk);
-        for (std::size_t i = 0; i < chunk.size(); ++i, ++seq) {
-            DynInst live;
-            ASSERT_TRUE(sim.step(&live));
-            DynInst replayed;
-            cursor.next(seq, replayed);
-            ASSERT_EQ(replayed.seq, live.seq);
-            ASSERT_EQ(replayed.pc, live.pc);
-            ASSERT_EQ(isa::encode(replayed.inst),
-                      isa::encode(live.inst));
-            ASSERT_EQ(replayed.effAddr, live.effAddr);
-            ASSERT_EQ(replayed.memSize, live.memSize);
-            ASSERT_EQ(replayed.nextPc, live.nextPc);
-        }
-    }
-    EXPECT_EQ(seq, trace->length());
+    // A program that never rewrites its text is all text-backed.
+    EXPECT_EQ(expectMatchesLiveRun(p, *trace), 0u);
 }
 
-TEST(InstTrace, CompactLayoutStaysUnderEightBytesPerRecord)
+TEST(InstTrace, CaptureMatchesSelfModifyingExecution)
 {
-    // Memory ops and taken control transfers are the only records
-    // that cost more than their 4-byte word; on the Figure 7
-    // workloads that keeps a capture at or below 8 B/record.
+    // 2000 trips run past the first chunk.
+    prog::Program p = selfModifyingProgram(2000);
+    auto trace = InstTrace::capture(p);
+    ASSERT_TRUE(trace->programHalted());
+    EXPECT_GT(trace->numChunks(), 1u);
+    EXPECT_EQ(trace->output(), "22\n");
+    EXPECT_GT(expectMatchesLiveRun(p, *trace), 0u);
+}
+
+TEST(InstTrace, CaptureMatchesDataPageExecution)
+{
+    prog::Program p = dataPageCodeProgram();
+    auto trace = InstTrace::capture(p);
+    ASSERT_TRUE(trace->programHalted());
+    EXPECT_EQ(trace->output(), "35\n");
+    // Five trips through three poked words, then the jr back: 16
+    // records off the text.
+    EXPECT_EQ(expectMatchesLiveRun(p, *trace), 16u);
+}
+
+TEST(TraceReplay, SelfModifyingReplayMatchesLiveRun)
+{
+    driver::RunRequest req;
+    req.program = std::make_shared<const prog::Program>(
+        selfModifyingProgram(2000));
+    req.system = driver::SystemKind::Perfect;
+    req.config.numNodes = 2;
+    driver::RunResponse live = driver::runOne(req);
+    ASSERT_TRUE(live.ok()) << live.error;
+    req.trace = InstTrace::capture(*req.program);
+    driver::RunResponse replay = driver::runOne(req);
+    ASSERT_TRUE(replay.ok()) << replay.error;
+    EXPECT_EQ(replay.statsJson(), live.statsJson());
+}
+
+TEST(InstTrace, CompactLayoutStaysUnderThreeBytesPerRecord)
+{
+    // The text supplies every record's instruction, access width and
+    // direct target; a record costs its two bits plus the effAddr of
+    // a memory op and the target of a taken JR. On the Figure 7
+    // workloads that keeps a capture, text image included, at or
+    // below 3 B/record.
     for (const std::string &name : workloads::timingWorkloadNames()) {
         prog::Program p = workloads::findWorkload(name).build(1);
         auto trace = InstTrace::capture(p, 100000);
         ASSERT_GT(trace->length(), 0u) << name;
         double per_record = static_cast<double>(trace->memoryBytes()) /
                             static_cast<double>(trace->length());
-        EXPECT_LE(per_record, 8.0) << name;
+        EXPECT_LE(per_record, 3.0) << name;
     }
 }
 
 TEST(InstTrace, BuilderRejectsUnderivableRecords)
 {
-    // The layout derives a record's pc from the previous nextPc and
-    // its memSize/effAddr from the opcode; a record that disagrees
-    // cannot be stored and must be refused, not silently rewritten.
-    const std::uint32_t nop = isa::encode(isa::Instruction{});
-    isa::Instruction lw_inst;
-    lw_inst.op = isa::Opcode::LW;
-    const std::uint32_t lw = isa::encode(lw_inst);
+    // The layout derives a record's pc from the previous nextPc, its
+    // memSize/effAddr from the opcode and a taken direct transfer's
+    // nextPc from its target; a record that disagrees cannot be
+    // stored and must be refused, not silently rewritten. These pcs
+    // lie outside the (empty) text, so every record is an override
+    // that carries its own word.
+    auto text = std::make_shared<const TextImage>(prog::Program());
+    isa::Instruction nop;
+    isa::Instruction lw;
+    lw.op = isa::Opcode::LW;
+    isa::Instruction jr;
+    jr.op = isa::Opcode::JR;
+    jr.rs = ra;
+    isa::Instruction beq;
+    beq.op = isa::Opcode::BEQ;
+    beq.imm = 3; // taken target: pc + 16
+    isa::Instruction lw_rt = lw; // loads encode no rt
+    lw_rt.rt = t0;
 
-    InstTrace::Chunk::Builder b;
-    ASSERT_EQ(b.append(0x1000, nop, invalidAddr, 0, 0x2000), nullptr);
-    const char *why = b.append(0x1004, nop, invalidAddr, 0, 0x1008);
-    ASSERT_NE(why, nullptr);
-    EXPECT_NE(std::string(why).find("previous record's nextPc"),
-              std::string::npos);
+    auto refused = [](const char *why, const char *text) {
+        ASSERT_NE(why, nullptr) << text;
+        EXPECT_NE(std::string(why).find(text), std::string::npos)
+            << why;
+    };
+
+    InstTrace::Chunk::Builder b(text);
+    // A jr's taken target is the one nextPc the layout stores.
+    ASSERT_EQ(b.append(0x1000, jr, invalidAddr, 0, 0x2000), nullptr);
+    refused(b.append(0x1004, nop, invalidAddr, 0, 0x1008),
+            "previous record's nextPc");
+    refused(b.append(0x2000, lw_rt, 0x8000, 4, 0x2004),
+            "has no encoding");
     // A load of the wrong width, a non-memory op with an address,
     // and a non-memory op with a width.
-    for (auto [word, eff, size] :
+    for (auto [inst, eff, size] :
          {std::tuple{lw, Addr(0x8000), 8u},
           std::tuple{nop, Addr(0x8000), 0u},
-          std::tuple{nop, invalidAddr, 4u}}) {
-        why = b.append(0x2000, word, eff, size, 0x2004);
-        ASSERT_NE(why, nullptr);
-        EXPECT_NE(std::string(why).find("opcode implies"),
-                  std::string::npos);
-    }
+          std::tuple{nop, invalidAddr, 4u}})
+        refused(b.append(0x2000, inst, eff, size, 0x2004),
+                "opcode implies");
+    // A taken beq whose nextPc is not its target, and a nop that
+    // does not fall through.
+    refused(b.append(0x2000, beq, invalidAddr, 0, 0x3000),
+            "transfer's target");
+    refused(b.append(0x2000, nop, invalidAddr, 0, 0x2010),
+            "transfer's target");
     EXPECT_EQ(b.size(), 1u) << "a refused record must not be appended";
 
-    ASSERT_EQ(b.append(0x2000, lw, 0x8000, 4, 0x2004), nullptr);
+    ASSERT_EQ(b.append(0x2000, beq, invalidAddr, 0, 0x2010), nullptr);
+    ASSERT_EQ(b.append(0x2010, lw, 0x8000, 4, 0x2014), nullptr);
     auto chunk = b.finish();
-    ASSERT_EQ(chunk->size(), 2u);
-    EXPECT_EQ(chunk->nextPcCount, 1u);
+    ASSERT_EQ(chunk->size(), 3u);
+    EXPECT_EQ(chunk->targetCount, 1u) << "only the jr's target";
     EXPECT_EQ(chunk->effAddrCount, 1u);
+    EXPECT_EQ(chunk->overrideCount, 3u);
     InstTrace::Chunk::Cursor cursor(*chunk);
     DynInst rec;
     cursor.next(0, rec);
     EXPECT_EQ(rec.pc, 0x1000u);
+    EXPECT_EQ(rec.inst, jr);
     EXPECT_EQ(rec.nextPc, 0x2000u);
     EXPECT_EQ(rec.effAddr, invalidAddr);
     cursor.next(1, rec);
     EXPECT_EQ(rec.pc, 0x2000u);
-    EXPECT_EQ(rec.nextPc, 0x2004u);
+    EXPECT_EQ(rec.inst, beq);
+    EXPECT_EQ(rec.nextPc, 0x2010u);
+    cursor.next(2, rec);
+    EXPECT_EQ(rec.pc, 0x2010u);
+    EXPECT_EQ(rec.nextPc, 0x2014u);
     EXPECT_EQ(rec.effAddr, 0x8000u);
     EXPECT_EQ(rec.memSize, 4u);
 }
