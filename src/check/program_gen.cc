@@ -80,24 +80,32 @@ GenParams::fuzzDefault()
     return p;
 }
 
+std::string
+GenParams::validate() const
+{
+    auto range = [](const char *what, unsigned lo, unsigned hi) {
+        return "bad " + std::string(what) + " range [" +
+               std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    };
+    if (mix.total() == 0)
+        return "empty op mix";
+    if (minDataPages < 1 || minDataPages > maxDataPages)
+        return range("data-page", minDataPages, maxDataPages);
+    if (maxDataPages > kMaxDataPages)
+        return "data-page ceiling " + std::to_string(maxDataPages) +
+               " exceeds " + std::to_string(kMaxDataPages) +
+               " (4 MB image)";
+    if (minIters < 1 || minIters > maxIters)
+        return range("iteration", minIters, maxIters);
+    if (minBlockOps < 1 || minBlockOps > maxBlockOps)
+        return range("block-op", minBlockOps, maxBlockOps);
+    return "";
+}
+
 ProgramGen::ProgramGen(GenParams params) : params_(params)
 {
-    fatal_if(params_.mix.total() == 0, "empty op mix");
-    fatal_if(params_.minDataPages < 1 ||
-                 params_.minDataPages > params_.maxDataPages,
-             "bad data-page range [%u, %u]", params_.minDataPages,
-             params_.maxDataPages);
-    fatal_if(params_.maxDataPages > 512,
-             "data-page ceiling %u exceeds 512 (4 MB image)",
-             params_.maxDataPages);
-    fatal_if(params_.minIters < 1 ||
-                 params_.minIters > params_.maxIters,
-             "bad iteration range [%u, %u]", params_.minIters,
-             params_.maxIters);
-    fatal_if(params_.minBlockOps < 1 ||
-                 params_.minBlockOps > params_.maxBlockOps,
-             "bad block-op range [%u, %u]", params_.minBlockOps,
-             params_.maxBlockOps);
+    std::string error = params_.validate();
+    fatal_if(!error.empty(), "%s", error.c_str());
 }
 
 prog::Program

@@ -22,6 +22,7 @@
 #define DSCALAR_CHECK_PROGRAM_GEN_HH
 
 #include <cstdint>
+#include <string>
 
 #include "prog/program.hh"
 
@@ -70,9 +71,17 @@ struct GenParams
     unsigned maxBlockOps = 39;
     OpMix mix;
 
+    /** Data-page ceiling: a 4 MB data image. */
+    static constexpr unsigned kMaxDataPages = 512;
+
     /** The fuzzer's default mix: legacy ops plus every extended op,
      *  biased toward memory traffic. */
     static GenParams fuzzDefault();
+
+    /** @return "" when ProgramGen accepts these parameters (nonempty
+     *  mix, each range ordered and starting at 1, data pages within
+     *  the ceiling), else the rule they break. */
+    std::string validate() const;
 };
 
 /** The concrete values one generation drew (diagnostics, repros). */

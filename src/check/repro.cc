@@ -1,7 +1,6 @@
 #include "check/repro.hh"
 
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "common/kv.hh"
@@ -10,69 +9,92 @@
 namespace dscalar {
 namespace check {
 
-// The `key = value` line convention is shared with RunRequest
-// serialization and the dsserve wire protocol (common/kv.hh), so the
-// three formats cannot drift apart.
-using common::kv::emit;
-using common::kv::parseU64;
-using common::kv::splitLine;
-using common::kv::trim;
+namespace kv = common::kv;
 
 namespace {
 
 constexpr char kMagic[] = "# dsfuzz repro v1";
 
+// Ceilings that keep a replay finite: an op adds at most 16 words to
+// the loop body, so 2000 trips of 1000 ops stay inside a branch
+// offset (32767 words) and the golden run's 50M-instruction budget; a
+// weight of w puts w entries in the op table; a cache above 1 MiB per
+// node is far outside the sampled 256 B..64 KB.
+constexpr kv::Range kPages{1, GenParams::kMaxDataPages, "page count"};
+constexpr kv::Range kIters{1, 2000, "trip count"};
+constexpr kv::Range kOps{1, 1000, "block op count"};
+constexpr kv::Range kWeight{0, 1000, "weight"};
+constexpr kv::Range kDcache{32, 1 << 20, "byte count"};
+constexpr kv::Range kWays{1, (1 << 20) / 32, "way count"};
+
+// F(field, enum names...): the row's accessor.
+#define F(m, ...)                                                      \
+    [](void *o) {                                                      \
+        auto *r = static_cast<ReproCase *>(o);                         \
+        return kv::Ref(r->m __VA_OPT__(, ) __VA_ARGS__);               \
+    }
+
+constexpr kv::Key kReproKeys[] = {
+    {"seed", F(seed), "program seed", {}, kv::kRequired},
+    {"min_data_pages", F(params.minDataPages), "least data pages", kPages},
+    {"max_data_pages", F(params.maxDataPages), "most data pages", kPages},
+    {"min_iters", F(params.minIters), "least loop trips", kIters},
+    {"max_iters", F(params.maxIters), "most loop trips", kIters},
+    {"min_block_ops", F(params.minBlockOps), "least block ops", kOps},
+    {"max_block_ops", F(params.maxBlockOps), "most block ops", kOps},
+    {"mix_load_accum", F(params.mix.loadAccum), "op weight", kWeight},
+    {"mix_store_data", F(params.mix.storeData), "op weight", kWeight},
+    {"mix_load_xor", F(params.mix.loadXor), "op weight", kWeight},
+    {"mix_branch_skip", F(params.mix.branchSkip), "op weight", kWeight},
+    {"mix_cursor_mul", F(params.mix.cursorMul), "op weight", kWeight},
+    {"mix_cursor_hash", F(params.mix.cursorHash), "op weight", kWeight},
+    {"mix_fp_mix", F(params.mix.fpMix), "op weight", kWeight},
+    {"mix_print_syscall", F(params.mix.printSyscall), "op weight", kWeight},
+    {"mix_alias_store_load", F(params.mix.aliasStoreLoad), "op weight",
+     kWeight},
+    {"mix_byte_ops", F(params.mix.byteOps), "op weight", kWeight},
+    {"mix_page_cross", F(params.mix.pageCross), "op weight", kWeight},
+    {"system", F(config.system, driver::kSystemKindNames),
+     "simulated system"},
+    {"nodes", F(config.nodes), "node count", driver::kNodesRange},
+    {"interconnect", F(config.interconnect, driver::kInterconnectKindNames),
+     "global interconnect"},
+    {"dcache_bytes", F(config.dcacheBytes), "L1D size", kDcache},
+    {"dcache_assoc", F(config.dcacheAssoc), "L1D ways", kWays},
+    {"write_allocate", F(config.writeAllocate), "L1D write-allocate"},
+    {"event_driven", F(config.eventDriven), "event-driven run loop"},
+    {"cross_event_driven", F(config.crossEventDriven),
+     "also run the other loop mode"},
+    {"cross_replay", F(config.crossReplay), "also replay the trace"},
+    {"faults", F(config.faults), "faults with recovery"},
+    {"hard_bshr", F(config.hardBshr), "hard BSHR capacity"},
+    {"faults_no_recovery", F(config.faultsNoRecovery),
+     "faults without recovery (testing hook)"},
+    {"bshr_capacity", F(config.bshrCapacity), "BSHR bank capacity",
+     driver::kBshrCapacityRange},
+    {"max_insts", F(config.maxInsts), "instruction budget, 0 = no limit"},
+    {"fault_seed", F(config.faultSeed), "fault decision-stream seed"},
+    {"mutation", F(config.mutation, core::kProtocolMutationNames),
+     "planted protocol bug (testing hook)", {}, kv::kOptional},
+    {"mismatch", F(mismatch), "summary observed when saved"},
+};
+
+#undef F
+
 } // namespace
+
+std::span<const kv::Key>
+reproKeys()
+{
+    return kReproKeys;
+}
 
 std::string
 formatRepro(const ReproCase &r)
 {
     std::ostringstream os;
-    os << kMagic << "\n";
-    os << "# " << describeConfig(r.config) << "\n";
-    emit(os, "seed", r.seed);
-
-    const GenParams &p = r.params;
-    emit(os, "min_data_pages", p.minDataPages);
-    emit(os, "max_data_pages", p.maxDataPages);
-    emit(os, "min_iters", p.minIters);
-    emit(os, "max_iters", p.maxIters);
-    emit(os, "min_block_ops", p.minBlockOps);
-    emit(os, "max_block_ops", p.maxBlockOps);
-    emit(os, "mix_load_accum", p.mix.loadAccum);
-    emit(os, "mix_store_data", p.mix.storeData);
-    emit(os, "mix_load_xor", p.mix.loadXor);
-    emit(os, "mix_branch_skip", p.mix.branchSkip);
-    emit(os, "mix_cursor_mul", p.mix.cursorMul);
-    emit(os, "mix_cursor_hash", p.mix.cursorHash);
-    emit(os, "mix_fp_mix", p.mix.fpMix);
-    emit(os, "mix_print_syscall", p.mix.printSyscall);
-    emit(os, "mix_alias_store_load", p.mix.aliasStoreLoad);
-    emit(os, "mix_byte_ops", p.mix.byteOps);
-    emit(os, "mix_page_cross", p.mix.pageCross);
-
-    const TrialConfig &c = r.config;
-    emit(os, "system", driver::systemKindName(c.system));
-    emit(os, "nodes", c.nodes);
-    emit(os, "interconnect", driver::interconnectKindName(c.interconnect));
-    emit(os, "dcache_bytes", c.dcacheBytes);
-    emit(os, "dcache_assoc", c.dcacheAssoc);
-    emit(os, "write_allocate", c.writeAllocate ? 1 : 0);
-    emit(os, "event_driven", c.eventDriven ? 1 : 0);
-    emit(os, "cross_event_driven", c.crossEventDriven ? 1 : 0);
-    emit(os, "cross_replay", c.crossReplay ? 1 : 0);
-    emit(os, "faults", c.faults ? 1 : 0);
-    emit(os, "hard_bshr", c.hardBshr ? 1 : 0);
-    emit(os, "faults_no_recovery", c.faultsNoRecovery ? 1 : 0);
-    emit(os, "bshr_capacity", c.bshrCapacity);
-    emit(os, "max_insts", c.maxInsts);
-    emit(os, "fault_seed", c.faultSeed);
-    // Only mutation-sensitivity repros carry this key; ordinary
-    // repro files omit it.
-    if (c.mutation != core::ProtocolMutation::None)
-        emit(os, "mutation", core::protocolMutationName(c.mutation));
-
-    emit(os, "mismatch", r.mismatch.c_str());
+    os << kMagic << "\n# " << describeConfig(r.config) << "\n";
+    kv::format(os, kReproKeys, &r);
     return os.str();
 }
 
@@ -80,140 +102,17 @@ bool
 parseRepro(std::istream &in, ReproCase &out, std::string &error)
 {
     ReproCase r;
-    bool saw_seed = false;
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::string t = trim(line);
-        if (t.empty() || t[0] == '#')
-            continue;
-        std::string key, value;
-        if (!splitLine(t, key, value)) {
-            error = "line " + std::to_string(lineno) + ": missing '=' or malformed value";
-            return false;
-        }
-
-        // String-valued keys first.
-        if (key == "mismatch") {
-            r.mismatch = value;
-            continue;
-        }
-        if (key == "system") {
-            std::optional<driver::SystemKind> kind =
-                driver::parseSystemKind(value);
-            if (!kind) {
-                error = "line " + std::to_string(lineno) +
-                        ": unknown system '" + value + "'";
-                return false;
-            }
-            r.config.system = *kind;
-            continue;
-        }
-        if (key == "interconnect") {
-            std::optional<core::InterconnectKind> net =
-                driver::parseInterconnectKind(value);
-            if (!net) {
-                error = "line " + std::to_string(lineno) +
-                        ": unknown interconnect '" + value + "'";
-                return false;
-            }
-            r.config.interconnect = *net;
-            continue;
-        }
-        if (key == "mutation") {
-            if (!core::parseProtocolMutation(value,
-                                             r.config.mutation)) {
-                error = "line " + std::to_string(lineno) +
-                        ": unknown mutation '" + value + "'";
-                return false;
-            }
-            continue;
-        }
-
-        // The key is matched before the value is judged, so a key
-        // this format does not know is named as such.
-        std::uint64_t v = 0;
-        bool numeric = parseU64(value, v);
-        auto u = [v] { return static_cast<unsigned>(v); };
-        if (key == "seed") {
-            r.seed = v;
-            saw_seed = true;
-        } else if (key == "min_data_pages")
-            r.params.minDataPages = u();
-        else if (key == "max_data_pages")
-            r.params.maxDataPages = u();
-        else if (key == "min_iters")
-            r.params.minIters = u();
-        else if (key == "max_iters")
-            r.params.maxIters = u();
-        else if (key == "min_block_ops")
-            r.params.minBlockOps = u();
-        else if (key == "max_block_ops")
-            r.params.maxBlockOps = u();
-        else if (key == "mix_load_accum")
-            r.params.mix.loadAccum = u();
-        else if (key == "mix_store_data")
-            r.params.mix.storeData = u();
-        else if (key == "mix_load_xor")
-            r.params.mix.loadXor = u();
-        else if (key == "mix_branch_skip")
-            r.params.mix.branchSkip = u();
-        else if (key == "mix_cursor_mul")
-            r.params.mix.cursorMul = u();
-        else if (key == "mix_cursor_hash")
-            r.params.mix.cursorHash = u();
-        else if (key == "mix_fp_mix")
-            r.params.mix.fpMix = u();
-        else if (key == "mix_print_syscall")
-            r.params.mix.printSyscall = u();
-        else if (key == "mix_alias_store_load")
-            r.params.mix.aliasStoreLoad = u();
-        else if (key == "mix_byte_ops")
-            r.params.mix.byteOps = u();
-        else if (key == "mix_page_cross")
-            r.params.mix.pageCross = u();
-        else if (key == "nodes")
-            r.config.nodes = u();
-        else if (key == "dcache_bytes")
-            r.config.dcacheBytes = v;
-        else if (key == "dcache_assoc")
-            r.config.dcacheAssoc = u();
-        else if (key == "write_allocate")
-            r.config.writeAllocate = v != 0;
-        else if (key == "event_driven")
-            r.config.eventDriven = v != 0;
-        else if (key == "cross_event_driven")
-            r.config.crossEventDriven = v != 0;
-        else if (key == "cross_replay")
-            r.config.crossReplay = v != 0;
-        else if (key == "faults")
-            r.config.faults = v != 0;
-        else if (key == "hard_bshr")
-            r.config.hardBshr = v != 0;
-        else if (key == "faults_no_recovery")
-            r.config.faultsNoRecovery = v != 0;
-        else if (key == "bshr_capacity")
-            r.config.bshrCapacity = u();
-        else if (key == "max_insts")
-            r.config.maxInsts = v;
-        else if (key == "fault_seed")
-            r.config.faultSeed = v;
-        else {
-            error = "line " + std::to_string(lineno) +
-                    ": unknown key '" + key + "'";
-            return false;
-        }
-        if (!numeric) {
-            error = "line " + std::to_string(lineno) +
-                    ": non-numeric value for '" + key + "'";
-            return false;
-        }
-    }
-    if (!saw_seed) {
-        error = "repro file has no 'seed' key";
+    if (kv::parseBlock(in, kReproKeys, &r, false, error) < 0)
         return false;
-    }
+    // The cross-field rules, each owned by the component it
+    // configures.
+    error = r.params.validate();
+    if (error.empty())
+        error = core::validate(toSimConfig(r.config),
+                               r.config.system ==
+                                   driver::SystemKind::DataScalar);
+    if (!error.empty())
+        return false;
     out = r;
     return true;
 }

@@ -16,10 +16,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "check/oracle.hh"
 #include "check/program_gen.hh"
+#include "common/kv.hh"
 
 namespace dscalar {
 namespace check {
@@ -33,13 +35,19 @@ struct ReproCase
     std::string mismatch; ///< summary observed when the case was saved
 };
 
+/** Every repro-file key, in format order (the schema parseRepro and
+ *  formatRepro are generated from). */
+std::span<const common::kv::Key> reproKeys();
+
 /** Serialize @p repro in the repro-file format. */
 std::string formatRepro(const ReproCase &repro);
 
 /**
  * Parse a repro file.
- * @return false (with @p error set) on unknown keys, malformed
- * values, or a missing seed; unset known keys keep their defaults.
+ * @return false (with @p error set) on unknown keys, malformed or
+ * out-of-range values, a missing seed, or a case that breaks a
+ * cross-field rule (GenParams::validate, core::validate); unset
+ * known keys keep their defaults.
  */
 bool parseRepro(std::istream &in, ReproCase &out, std::string &error);
 

@@ -1,7 +1,10 @@
 #include "common/kv.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/logging.hh"
 
 namespace dscalar {
 namespace common {
@@ -116,11 +119,10 @@ parseU64(const std::string &value, std::uint64_t &out)
     for (char c : value) {
         if (c < '0' || c > '9')
             return false;
-        std::uint64_t next =
-            v * 10 + static_cast<std::uint64_t>(c - '0');
-        if (next < v)
+        auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (UINT64_MAX - digit) / 10)
             return false; // overflow
-        v = next;
+        v = v * 10 + digit;
     }
     out = v;
     return true;
@@ -160,12 +162,6 @@ emit(std::ostream &os, const char *key, std::uint64_t value)
 }
 
 void
-emit(std::ostream &os, const char *key, const char *value)
-{
-    emit(os, key, std::string(value));
-}
-
-void
 emit(std::ostream &os, const char *key, const std::string &value)
 {
     os << key << " = "
@@ -176,6 +172,149 @@ void
 emit(std::ostream &os, const char *key, double value)
 {
     os << key << " = " << formatF64(value) << "\n";
+}
+
+int
+nameIndex(std::span<const char *const> names, const std::string &name)
+{
+    auto it = std::find(names.begin(), names.end(), name);
+    return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+}
+
+namespace {
+
+/** What a valid value is, for "bad value" errors. */
+std::string
+expected(const Range &r, Kind kind, std::uint64_t max)
+{
+    if (kind == Kind::Prob)
+        return "a probability in [0,1]";
+    if (!r.noun || kind == Kind::Bool)
+        return "an unsigned integer";
+    std::string noun = r.noun;
+    if (kind == Kind::String)
+        return "a " + noun;
+    if (r.min == 1 && max == (kind == Kind::U32 ? UINT32_MAX : UINT64_MAX))
+        return "a positive " + noun;
+    return "a " + noun + " in " + std::to_string(r.min) + ".." +
+           std::to_string(max);
+}
+
+/** The value of @p r as formatted text. */
+std::string
+text(const Ref &r)
+{
+    switch (r.kind) {
+      case Kind::String: return *static_cast<const std::string *>(r.p);
+      case Kind::Prob: return formatF64(*static_cast<const double *>(r.p));
+      case Kind::Enum: {
+        auto i = *static_cast<const std::uint8_t *>(r.p);
+        return i < r.names.size() ? r.names[i] : "?";
+      }
+      case Kind::U32:
+        return std::to_string(*static_cast<const unsigned *>(r.p));
+      case Kind::U64:
+        return std::to_string(*static_cast<const std::uint64_t *>(r.p));
+      default: return *static_cast<const bool *>(r.p) ? "1" : "0";
+    }
+}
+
+} // namespace
+
+const Key *
+applyKey(std::span<const Key> keys, void *obj, const std::string &key,
+         const std::string &value, std::string &error)
+{
+    auto k = std::find_if(keys.begin(), keys.end(),
+                          [&](const Key &row) { return key == row.name; });
+    if (k == keys.end()) {
+        error = "unknown key '" + key + "'";
+        return nullptr;
+    }
+    Ref r = k->field(obj);
+    const std::uint64_t max = std::min<std::uint64_t>(
+        k->range.max, r.kind == Kind::U32 ? UINT32_MAX : UINT64_MAX);
+    std::uint64_t v = 0;
+    double p = 0.0;
+    bool ok = true;
+    switch (r.kind) {
+      case Kind::Enum: {
+        int i = nameIndex(r.names, value);
+        if (i < 0) {
+            error = "unknown " + key + " '" + value + "'";
+            return nullptr;
+        }
+        v = static_cast<std::uint64_t>(i);
+        break;
+      }
+      case Kind::String: ok = value.size() >= k->range.min; break;
+      case Kind::Prob: ok = parseF64(value, p) && p >= 0 && p <= 1; break;
+      case Kind::Bool: ok = parseU64(value, v); break;
+      default: ok = parseU64(value, v) && v >= k->range.min && v <= max;
+    }
+    if (!ok) {
+        error = "bad value '" + value + "' for '" + key + "' (expected " +
+                expected(k->range, r.kind, max) + ")";
+        return nullptr;
+    }
+    switch (r.kind) {
+      case Kind::String: *static_cast<std::string *>(r.p) = value; break;
+      case Kind::Enum: *static_cast<std::uint8_t *>(r.p) = v; break;
+      case Kind::U32: *static_cast<unsigned *>(r.p) = v; break;
+      case Kind::U64: *static_cast<std::uint64_t *>(r.p) = v; break;
+      case Kind::Bool: *static_cast<bool *>(r.p) = v != 0; break;
+      case Kind::Prob: *static_cast<double *>(r.p) = p; break;
+    }
+    if (r.mark)
+        *r.mark = true;
+    return &*k;
+}
+
+int
+parseBlock(std::istream &in, std::span<const Key> keys, void *obj,
+           bool untilBlank, std::string &error)
+{
+    panic_if(keys.size() > 64, "a key schema holds at most 64 keys");
+    std::uint64_t seen = 0; // bit i: keys[i] was applied
+    int applied = 0;
+    std::string line, key, value;
+    for (unsigned lineno = 1; std::getline(in, line); ++lineno) {
+        std::string t = trim(line);
+        if (t.empty() && untilBlank && applied)
+            break;
+        if (t.empty() || t[0] == '#')
+            continue;
+        const Key *k = nullptr;
+        if (!splitLine(t, key, value))
+            error = "missing '=' or malformed value";
+        else if ((k = applyKey(keys, obj, key, value, error)))
+            seen |= std::uint64_t(1) << (k - keys.data());
+        if (!k) {
+            error = "line " + std::to_string(lineno) + ": " + error;
+            return -1;
+        }
+        ++applied;
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if ((keys[i].flags & kRequired) && !(seen >> i & 1)) {
+            error = std::string("missing key '") + keys[i].name + "'";
+            return -1;
+        }
+    }
+    return applied;
+}
+
+void
+format(std::ostream &os, std::span<const Key> keys, const void *obj)
+{
+    for (const Key &k : keys) {
+        Ref r = k.field(const_cast<void *>(obj));
+        std::string v = text(r);
+        bool zero = v.empty() || v == "0" ||
+                    (!r.names.empty() && v == r.names[0]);
+        if (!zero || !(k.flags & kOptional))
+            emit(os, k.name, v);
+    }
 }
 
 } // namespace kv

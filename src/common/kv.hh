@@ -6,14 +6,22 @@
  * dsserve wire protocol (serve/protocol.cc). One implementation of
  * trimming, splitting, and strict numeric parsing keeps the three
  * formats from drifting apart.
+ *
+ * A serialized type declares its keys once, as a constant array of
+ * Key rows; applyKey, parseBlock and format all read that array (as
+ * does dsrun's usage listing), so parse, format, range checks and
+ * usage cannot disagree.
  */
 
 #ifndef DSCALAR_COMMON_KV_HH
 #define DSCALAR_COMMON_KV_HH
 
 #include <cstdint>
+#include <istream>
 #include <ostream>
+#include <span>
 #include <string>
+#include <type_traits>
 
 namespace dscalar {
 namespace common {
@@ -55,22 +63,84 @@ std::string formatF64(double v);
  *  quoted and escaped so splitLine restores them byte-exactly;
  *  everything else stays plain text. */
 void emit(std::ostream &os, const char *key, std::uint64_t value);
-void emit(std::ostream &os, const char *key, const char *value);
 void emit(std::ostream &os, const char *key, const std::string &value);
 /** Doubles render via formatF64. */
 void emit(std::ostream &os, const char *key, double value);
-/** Smaller non-negative integer types route to the u64 overload
- *  (otherwise the double overload makes the call ambiguous). */
-inline void
-emit(std::ostream &os, const char *key, unsigned value)
+
+// -------------------------------------------------------------------
+// Key schemas
+// -------------------------------------------------------------------
+
+/** What a serialized field holds; Bool takes any unsigned (nonzero =
+ *  true), Prob a double in [0, 1], Enum one of Ref::names. */
+enum class Kind : std::uint8_t { String, Enum, U32, U64, Bool, Prob };
+
+/** A pointer to one field; the field's type picks the kind. */
+struct Ref
 {
-    emit(os, key, static_cast<std::uint64_t>(value));
-}
-inline void
-emit(std::ostream &os, const char *key, int value)
+    Ref(std::string &v) : kind(Kind::String), p(&v) {}
+    Ref(unsigned &v) : kind(Kind::U32), p(&v) {}
+    /** @p set, if given, becomes true whenever the key is parsed. */
+    Ref(std::uint64_t &v, bool *set = nullptr)
+        : kind(Kind::U64), p(&v), mark(set) {}
+    Ref(bool &v) : kind(Kind::Bool), p(&v) {}
+    Ref(double &v) : kind(Kind::Prob), p(&v) {}
+    /** @p valueNames lists the enum's names in value order. */
+    template <typename E>
+        requires std::is_same_v<std::underlying_type_t<E>, std::uint8_t>
+    Ref(E &v, std::span<const char *const> valueNames)
+        : kind(Kind::Enum), p(&v), names(valueNames) {}
+
+    Kind kind;
+    void *p;
+    bool *mark = nullptr;
+    std::span<const char *const> names;
+};
+
+/** Accepted values of a U32 / U64 key (U32 also stops at UINT32_MAX),
+ *  or a String key's least length. @p noun names a valid value in
+ *  errors ("node count"); nullptr = any unsigned integer. */
+struct Range
 {
-    emit(os, key, static_cast<std::uint64_t>(value));
-}
+    std::uint64_t min = 0;
+    std::uint64_t max = UINT64_MAX;
+    const char *noun = nullptr;
+};
+
+inline constexpr std::uint8_t kOptional = 1; ///< not formatted at 0 / ""
+inline constexpr std::uint8_t kRequired = 2; ///< a block must set it
+
+/** One serialized key. @p field reaches it on the object the caller
+ *  passes as `void *`; every row of a schema takes one type. */
+struct Key
+{
+    const char *name;
+    Ref (*field)(void *obj);
+    const char *doc;
+    Range range = {};
+    std::uint8_t flags = 0;
+};
+
+/** @return the index of @p name in @p names, or -1. */
+int nameIndex(std::span<const char *const> names, const std::string &name);
+
+/** Apply one `key = value` pair to @p obj. @return its row, or
+ *  nullptr with @p error set ("unknown key ...", "bad value ...
+ *  (expected ...)") and @p obj unchanged. */
+const Key *applyKey(std::span<const Key> keys, void *obj,
+                    const std::string &key, const std::string &value,
+                    std::string &error);
+
+/** Apply `key = value` lines, skipping blank and '#' lines; with
+ *  @p untilBlank a blank line after a key ends the block. @return the
+ *  number of keys applied, or -1 with @p error set (naming the line,
+ *  or a missing kRequired key). */
+int parseBlock(std::istream &in, std::span<const Key> keys, void *obj,
+               bool untilBlank, std::string &error);
+
+/** Emit every key of @p obj in row order (kOptional ones unless 0,
+ *  "" or an enum's first name). */
+void format(std::ostream &os, std::span<const Key> keys, const void *obj);
 
 } // namespace kv
 } // namespace common

@@ -77,6 +77,8 @@ void
 parallelFor(unsigned jobs, std::size_t n,
             const std::function<void(std::size_t)> &f)
 {
+    if (jobs == 0)
+        jobs = std::thread::hardware_concurrency();
     if (jobs <= 1 || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             f(i);

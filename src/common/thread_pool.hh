@@ -63,10 +63,11 @@ class ThreadPool
 };
 
 /**
- * Run f(0), ..., f(n-1) across up to @p jobs workers and block until
- * all complete. jobs <= 1 runs inline in index order, making the
- * serial case the bit-exact reference for the parallel one (each
- * f(i) must touch only its own slot of any shared output).
+ * Run f(0), ..., f(n-1) across up to @p jobs workers (0 = the
+ * hardware concurrency) and block until all complete. One job runs
+ * inline in index order, making the serial case the bit-exact
+ * reference for the parallel one (each f(i) must touch only its own
+ * slot of any shared output).
  */
 void parallelFor(unsigned jobs, std::size_t n,
                  const std::function<void(std::size_t)> &f);

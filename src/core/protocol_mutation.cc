@@ -2,6 +2,8 @@
 
 #include <atomic>
 
+#include "common/kv.hh"
+
 namespace dscalar {
 namespace core {
 
@@ -9,32 +11,23 @@ namespace {
 
 std::atomic<ProtocolMutation> g_mutation{ProtocolMutation::None};
 
-constexpr const char *kNames[numProtocolMutations] = {
-    "none",
-    "squash-pending-lost",
-    "buffered-hit-keeps-data",
-    "deliver-squash-buffers",
-};
-
 } // namespace
 
 const char *
 protocolMutationName(ProtocolMutation m)
 {
     auto i = static_cast<unsigned>(m);
-    return i < numProtocolMutations ? kNames[i] : "?";
+    return i < numProtocolMutations ? kProtocolMutationNames[i] : "?";
 }
 
 bool
 parseProtocolMutation(const std::string &name, ProtocolMutation &out)
 {
-    for (unsigned i = 0; i < numProtocolMutations; ++i) {
-        if (name == kNames[i]) {
-            out = static_cast<ProtocolMutation>(i);
-            return true;
-        }
-    }
-    return false;
+    int i = common::kv::nameIndex(kProtocolMutationNames, name);
+    if (i < 0)
+        return false;
+    out = static_cast<ProtocolMutation>(i);
+    return true;
 }
 
 ProtocolMutation

@@ -53,6 +53,11 @@ enum class ProtocolMutation : std::uint8_t {
 /** Number of ProtocolMutation values, None included. */
 inline constexpr unsigned numProtocolMutations = 4;
 
+/** ProtocolMutation names, in value order. */
+inline constexpr const char *kProtocolMutationNames[numProtocolMutations] =
+    {"none", "squash-pending-lost", "buffered-hit-keeps-data",
+     "deliver-squash-buffers"};
+
 /** Stable lower-case name of @p m (repro keys, CLI flags). */
 const char *protocolMutationName(ProtocolMutation m);
 

@@ -26,6 +26,9 @@ class Snapshot;
 
 namespace core {
 
+/** Largest node count a run may ask for. */
+inline constexpr unsigned kMaxNodes = 256;
+
 /** Global-interconnect topology for DataScalar broadcasts. */
 enum class InterconnectKind : std::uint8_t {
     Bus, ///< the paper's evaluated configuration
@@ -94,6 +97,17 @@ struct SimConfig
      */
     bool eventDriven = true;
 };
+
+/**
+ * Check @p cfg against the rules of the components it configures:
+ * node count, BSHR capacity, cache geometry (mem::CacheParams) and,
+ * with @p dataScalar, the DataScalar system's own rule that a hard
+ * BSHR needs re-request recovery. Messages name each parameter by
+ * its request or repro key where it has one.
+ * @return "" when a system can be built from @p cfg, else the first
+ * rule it breaks.
+ */
+std::string validate(const SimConfig &cfg, bool dataScalar);
 
 /** Aggregate outcome of one timing run. */
 struct RunResult

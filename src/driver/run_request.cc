@@ -43,161 +43,102 @@ paperConfig()
 const char *
 systemKindName(SystemKind kind)
 {
-    switch (kind) {
-      case SystemKind::Perfect: return "perfect";
-      case SystemKind::DataScalar: return "datascalar";
-      case SystemKind::Traditional: return "traditional";
-    }
-    fatal("unknown SystemKind %d", static_cast<int>(kind));
+    auto i = static_cast<std::size_t>(kind);
+    panic_if(i >= std::size(kSystemKindNames), "unknown SystemKind %zu", i);
+    return kSystemKindNames[i];
 }
 
 std::optional<SystemKind>
 parseSystemKind(const std::string &name)
 {
-    if (name == "perfect")
-        return SystemKind::Perfect;
-    if (name == "datascalar")
-        return SystemKind::DataScalar;
-    if (name == "traditional")
-        return SystemKind::Traditional;
-    return std::nullopt;
+    int i = kv::nameIndex(kSystemKindNames, name);
+    if (i < 0)
+        return std::nullopt;
+    return static_cast<SystemKind>(i);
 }
 
 const char *
 interconnectKindName(core::InterconnectKind kind)
 {
-    switch (kind) {
-      case core::InterconnectKind::Bus: return "bus";
-      case core::InterconnectKind::Ring: return "ring";
-    }
-    fatal("unknown InterconnectKind %d", static_cast<int>(kind));
+    auto i = static_cast<std::size_t>(kind);
+    panic_if(i >= std::size(kInterconnectKindNames),
+             "unknown InterconnectKind %zu", i);
+    return kInterconnectKindNames[i];
 }
 
 std::optional<core::InterconnectKind>
 parseInterconnectKind(const std::string &name)
 {
-    if (name == "bus")
-        return core::InterconnectKind::Bus;
-    if (name == "ring")
-        return core::InterconnectKind::Ring;
-    return std::nullopt;
+    int i = kv::nameIndex(kInterconnectKindNames, name);
+    if (i < 0)
+        return std::nullopt;
+    return static_cast<core::InterconnectKind>(i);
 }
 
 // -------------------------------------------------------------------
 // Serialization
 // -------------------------------------------------------------------
 
+namespace {
+
+// F(field, extra Ref arguments, which may name the request r): the
+// row's accessor.
+#define F(m, ...)                                                      \
+    [](void *o) {                                                      \
+        auto *r = static_cast<RunRequest *>(o);                        \
+        return kv::Ref(r->m __VA_OPT__(, ) __VA_ARGS__);               \
+    }
+
+constexpr kv::Range kWorkload{.min = 1, .noun = "workload name"};
+constexpr kv::Range kScale{1, 4096, "scale"};
+constexpr kv::Range kBlock{.min = 1, .noun = "page count"};
+
+constexpr kv::Key kRunRequestKeys[] = {
+    {"workload", F(workload), "registered workload name", kWorkload},
+    {"scale", F(scale), "workload build scale", kScale},
+    {"system", F(system, kSystemKindNames), "simulated system"},
+    {"nodes", F(config.numNodes), "node count", kNodesRange},
+    {"interconnect", F(config.interconnect, kInterconnectKindNames),
+     "global interconnect"},
+    {"max_insts", F(config.maxInsts), "instruction budget, 0 = no limit"},
+    {"block_pages", F(blockPages), "page-distribution block", kBlock},
+    {"event_driven", F(config.eventDriven), "event-driven cycle skipping"},
+    {"fault_drop", F(config.fault.dropProb), "drop probability"},
+    {"fault_dup", F(config.fault.dupProb), "duplication probability"},
+    {"fault_delay", F(config.fault.delayProb), "delay probability"},
+    {"fault_max_delay", F(config.fault.maxDelay), "delay ceiling (cycles)"},
+    {"fault_seed", F(config.fault.seed), "fault decision-stream seed"},
+    {"rerequest_timeout",
+     F(config.rerequestTimeout, &r->rerequestTimeoutSet),
+     "re-request timeout (cycles), 0 = off; default 2000 under "
+     "fault_drop or bshr_hard"},
+    {"bshr_hard", F(config.bshrHardCapacity), "enforce BSHR capacity"},
+    {"bshr_capacity", F(config.bshrCapacity), "BSHR bank capacity",
+     kBshrCapacityRange},
+    {"trace_reuse", F(traceReuse), "replay a shared captured trace"},
+    {"sample_interval", F(sampleInterval), "timeline period (cycles), 0 = off"},
+    {"profile", F(profile), "wall-clock phase profile (numbers unchanged)",
+     {}, kv::kOptional},
+    {"perfetto", F(perfettoPath), "Perfetto trace file (\"-\" = stdout)", {},
+     kv::kOptional},
+};
+
+#undef F
+
+} // namespace
+
+std::span<const kv::Key>
+runRequestKeys()
+{
+    return kRunRequestKeys;
+}
+
 bool
 applyRunRequestKey(RunRequest &req, const std::string &key,
                    const std::string &value, std::string &error)
 {
-    auto bad = [&](const char *expected) {
-        error = "bad value '" + value + "' for '" + key +
-                "' (expected " + expected + ")";
-        return false;
-    };
-
-    // String-valued keys.
-    if (key == "workload") {
-        if (value.empty())
-            return bad("a workload name");
-        req.workload = value;
-        return true;
-    }
-    if (key == "perfetto") {
-        req.perfettoPath = value;
-        return true;
-    }
-    if (key == "system") {
-        std::optional<SystemKind> kind = parseSystemKind(value);
-        if (!kind) {
-            error = "unknown system '" + value + "'";
-            return false;
-        }
-        req.system = *kind;
-        return true;
-    }
-    if (key == "interconnect") {
-        std::optional<core::InterconnectKind> kind =
-            parseInterconnectKind(value);
-        if (!kind) {
-            error = "unknown interconnect '" + value + "'";
-            return false;
-        }
-        req.config.interconnect = *kind;
-        return true;
-    }
-
-    // Probability-valued keys.
-    if (key == "fault_drop" || key == "fault_dup" ||
-        key == "fault_delay") {
-        double p = 0.0;
-        if (!kv::parseF64(value, p) || p < 0.0 || p > 1.0)
-            return bad("a probability in [0,1]");
-        if (key == "fault_drop")
-            req.config.fault.dropProb = p;
-        else if (key == "fault_dup")
-            req.config.fault.dupProb = p;
-        else
-            req.config.fault.delayProb = p;
-        return true;
-    }
-
-    // Everything else is an unsigned integer.
-    std::uint64_t v = 0;
-    if (!kv::parseU64(value, v)) {
-        if (key == "scale" || key == "nodes" || key == "max_insts" ||
-            key == "block_pages" || key == "event_driven" ||
-            key == "fault_max_delay" || key == "fault_seed" ||
-            key == "rerequest_timeout" ||
-            key == "bshr_hard" || key == "bshr_capacity" ||
-            key == "trace_reuse" || key == "sample_interval" ||
-            key == "profile")
-            return bad("an unsigned integer");
-        error = "unknown key '" + key + "'";
-        return false;
-    }
-    auto u = [v] { return static_cast<unsigned>(v); };
-    if (key == "scale") {
-        if (v == 0 || v > 4096)
-            return bad("a scale in 1..4096");
-        req.scale = u();
-    } else if (key == "nodes") {
-        if (v == 0 || v > 256)
-            return bad("a node count in 1..256");
-        req.config.numNodes = u();
-    } else if (key == "block_pages") {
-        if (v == 0)
-            return bad("a positive page count");
-        req.blockPages = u();
-    } else if (key == "max_insts")
-        req.config.maxInsts = v;
-    else if (key == "event_driven")
-        req.config.eventDriven = v != 0;
-    else if (key == "fault_max_delay")
-        req.config.fault.maxDelay = v;
-    else if (key == "fault_seed")
-        req.config.fault.seed = v;
-    else if (key == "rerequest_timeout") {
-        req.config.rerequestTimeout = v;
-        req.rerequestTimeoutSet = true;
-    } else if (key == "bshr_hard")
-        req.config.bshrHardCapacity = v != 0;
-    else if (key == "bshr_capacity") {
-        if (v == 0)
-            return bad("a positive entry count");
-        req.config.bshrCapacity = u();
-    } else if (key == "trace_reuse")
-        req.traceReuse = v != 0;
-    else if (key == "sample_interval")
-        req.sampleInterval = v;
-    else if (key == "profile")
-        req.profile = v != 0;
-    else {
-        error = "unknown key '" + key + "'";
-        return false;
-    }
-    return true;
+    return kv::applyKey(kRunRequestKeys, &req, key, value, error) !=
+           nullptr;
 }
 
 void
@@ -215,34 +156,11 @@ bool
 parseRunRequest(std::istream &in, RunRequest &out, std::string &error)
 {
     RunRequest r;
-    bool any = false;
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::string t = kv::trim(line);
-        if (t.empty()) {
-            if (any)
-                break; // a blank line terminates the block
-            continue;
-        }
-        if (t[0] == '#')
-            continue;
-        std::string key, value;
-        if (!kv::splitLine(t, key, value)) {
-            error = "line " + std::to_string(lineno) + ": missing '=' or malformed value";
-            return false;
-        }
-        if (!applyRunRequestKey(r, key, value, error)) {
-            error = "line " + std::to_string(lineno) + ": " + error;
-            return false;
-        }
-        any = true;
-    }
-    if (!any) {
+    int keys = kv::parseBlock(in, kRunRequestKeys, &r, true, error);
+    if (keys == 0)
         error = "empty request";
+    if (keys <= 0)
         return false;
-    }
     finalizeRunRequest(r);
     out = std::move(r);
     return true;
@@ -252,34 +170,7 @@ std::string
 formatRunRequest(const RunRequest &req)
 {
     std::ostringstream os;
-    kv::emit(os, "workload", req.workload);
-    kv::emit(os, "scale", std::uint64_t(req.scale));
-    kv::emit(os, "system", systemKindName(req.system));
-    kv::emit(os, "nodes", std::uint64_t(req.config.numNodes));
-    kv::emit(os, "interconnect",
-             interconnectKindName(req.config.interconnect));
-    kv::emit(os, "max_insts", std::uint64_t(req.config.maxInsts));
-    kv::emit(os, "block_pages", std::uint64_t(req.blockPages));
-    kv::emit(os, "event_driven",
-             std::uint64_t(req.config.eventDriven ? 1 : 0));
-    kv::emit(os, "fault_drop", req.config.fault.dropProb);
-    kv::emit(os, "fault_dup", req.config.fault.dupProb);
-    kv::emit(os, "fault_delay", req.config.fault.delayProb);
-    kv::emit(os, "fault_max_delay",
-             std::uint64_t(req.config.fault.maxDelay));
-    kv::emit(os, "fault_seed", req.config.fault.seed);
-    kv::emit(os, "rerequest_timeout",
-             std::uint64_t(req.config.rerequestTimeout));
-    kv::emit(os, "bshr_hard",
-             std::uint64_t(req.config.bshrHardCapacity ? 1 : 0));
-    kv::emit(os, "bshr_capacity",
-             std::uint64_t(req.config.bshrCapacity));
-    kv::emit(os, "trace_reuse", std::uint64_t(req.traceReuse ? 1 : 0));
-    kv::emit(os, "sample_interval", std::uint64_t(req.sampleInterval));
-    if (req.profile)
-        kv::emit(os, "profile", std::uint64_t(1));
-    if (!req.perfettoPath.empty())
-        kv::emit(os, "perfetto", req.perfettoPath);
+    kv::format(os, kRunRequestKeys, &req);
     return os.str();
 }
 
@@ -325,15 +216,6 @@ RunResponse::statsJson() const
 // -------------------------------------------------------------------
 
 namespace {
-
-bool
-isRegisteredWorkload(const std::string &name)
-{
-    for (const auto &w : workloads::allWorkloads())
-        if (name == w.name)
-            return true;
-    return false;
-}
 
 /**
  * Observability wiring for any timing system: optional
@@ -418,16 +300,13 @@ runOne(const RunRequest &req, TraceCache *cache)
     RunResponse resp;
     resp.meta = runMeta(req);
 
-    // A hard BSHR drops broadcasts at a full bank, and only re-request
-    // recovery brings them back. DataScalarSystem refuses the pair as
-    // a fatal config error; refuse it here, as a value, so one request
-    // cannot end the process that serves it.
-    if (req.system == SystemKind::DataScalar &&
-        req.config.bshrHardCapacity && req.config.rerequestTimeout == 0) {
-        resp.error = "bshr_hard needs re-request recovery "
-                     "(rerequest_timeout > 0)";
+    // The system constructors refuse a bad config as a fatal error;
+    // refuse it here, as a value, so one request cannot end the
+    // process that serves it.
+    resp.error =
+        core::validate(req.config, req.system == SystemKind::DataScalar);
+    if (!resp.ok())
         return resp;
-    }
 
     // Request spans: an external recorder (the serving path's), or a
     // private one when only the profile group was asked for. The
@@ -441,15 +320,15 @@ runOne(const RunRequest &req, TraceCache *cache)
     std::shared_ptr<const prog::Program> program = req.program;
     if (!program) {
         obs::SpanScope span(spans, "build");
-        if (!isRegisteredWorkload(req.workload)) {
+        const workloads::Workload *w =
+            workloads::lookupWorkload(req.workload);
+        if (!w) {
             resp.error = "unknown workload '" + req.workload + "'";
             return resp;
         }
-        program =
-            cache ? cache->program(req.workload, req.scale)
-                  : std::make_shared<const prog::Program>(
-                        workloads::findWorkload(req.workload)
-                            .build(req.scale));
+        program = cache ? cache->program(req.workload, req.scale)
+                        : std::make_shared<const prog::Program>(
+                              w->build(req.scale));
     }
 
     std::shared_ptr<const func::InstTrace> trace = req.trace;

@@ -25,9 +25,11 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/kv.hh"
 #include "core/sim_config.hh"
 #include "func/inst_trace.hh"
 #include "obs/sampler.hh"
@@ -49,6 +51,19 @@ enum class SystemKind : std::uint8_t {
     DataScalar,  ///< the paper's machine
     Traditional  ///< request/response baseline
 };
+
+/** SystemKind names, in value order. */
+inline constexpr const char *kSystemKindNames[] = {"perfect", "datascalar",
+                                                   "traditional"};
+
+/** InterconnectKind names, in value order. */
+inline constexpr const char *kInterconnectKindNames[] = {"bus", "ring"};
+
+/** The ranges of the keys a repro file shares with a request. */
+inline constexpr common::kv::Range kNodesRange{1, core::kMaxNodes,
+                                               "node count"};
+inline constexpr common::kv::Range kBshrCapacityRange{
+    .min = 1, .noun = "entry count"};
 
 /** @return printable name of @p kind ("perfect" | "datascalar" |
  *  "traditional"). */
@@ -159,6 +174,11 @@ struct RunResponse
      *  cold dsrun, a warm dsserve, or a direct runOne call. */
     std::string statsJson() const;
 };
+
+/** Every serialized RunRequest key, in format order (the schema
+ *  applyRunRequestKey, parseRunRequest, formatRunRequest and dsrun's
+ *  usage are generated from). */
+std::span<const common::kv::Key> runRequestKeys();
 
 /**
  * Apply one serialized key to @p req.

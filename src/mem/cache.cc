@@ -6,15 +6,24 @@
 namespace dscalar {
 namespace mem {
 
+std::string
+CacheParams::validate() const
+{
+    const std::uint64_t way = std::uint64_t(lineSize) * assoc;
+    return !isPowerOf2(lineSize)          ? "line size must be 2^n"
+           : assoc == 0                   ? "associativity must be nonzero"
+           : sizeBytes % way != 0         ? "cache size not divisible by "
+                                            "way size"
+           : !isPowerOf2(sizeBytes / way) ? "set count must be 2^n"
+                                          : "";
+}
+
 Cache::Cache(const CacheParams &params)
     : params_(params)
 {
-    fatal_if(!isPowerOf2(params_.lineSize), "line size must be 2^n");
-    fatal_if(params_.assoc == 0, "associativity must be nonzero");
-    fatal_if(params_.sizeBytes % (params_.lineSize * params_.assoc) != 0,
-             "cache size not divisible by way size");
+    std::string error = params_.validate();
+    fatal_if(!error.empty(), "%s", error.c_str());
     numSets_ = params_.sizeBytes / (params_.lineSize * params_.assoc);
-    fatal_if(!isPowerOf2(numSets_), "set count must be 2^n");
     lineMask_ = params_.lineSize - 1;
     lines_.resize(numSets_ * params_.assoc);
 }

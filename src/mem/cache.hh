@@ -13,6 +13,7 @@
 #define DSCALAR_MEM_CACHE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -31,6 +32,10 @@ struct CacheParams
      *  requires sending an inter-processor message, only to overwrite
      *  the received data"); the Table 1 study cache is write-allocate. */
     bool writeAllocate = false;
+
+    /** @return "" for a buildable geometry (2^n-byte lines, nonzero
+     *  associativity, 2^n sets), else the rule it breaks. */
+    std::string validate() const;
 };
 
 /** Outcome of one cache access. */

@@ -62,12 +62,14 @@ PhysMem::write(Addr addr, unsigned size, std::uint64_t value)
 void
 PhysMem::loadProgram(const prog::Program &program)
 {
-    for (std::size_t i = 0; i < program.textWords(); ++i)
-        write(program.textBaseAddr() + 4 * i, 4, program.textWord(i));
+    // Data pages first: one that shares a page with the text must
+    // not replace the instructions.
     for (const auto &[base, bytes] : program.dataPages()) {
         auto &page = getPage(base);
         page = bytes;
     }
+    for (std::size_t i = 0; i < program.textWords(); ++i)
+        write(program.textBaseAddr() + 4 * i, 4, program.textWord(i));
     // Reserve stack pages so they count as backed memory.
     for (Addr a = program.stackBase(); a < prog::stackTop;
          a += prog::pageSize) {

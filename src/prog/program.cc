@@ -62,6 +62,12 @@ Program::pageFor(Addr addr)
 void
 Program::poke8(Addr addr, std::uint8_t v)
 {
+    if (addr >= textBase && addr < textLimit()) {
+        std::uint32_t &word = text_[(addr - textBase) / 4];
+        const unsigned shift = 8 * (addr % 4);
+        word = (word & ~(0xffu << shift)) | (std::uint32_t(v) << shift);
+        return;
+    }
     pageFor(addr)[addr & (pageSize - 1)] = v;
 }
 
@@ -90,6 +96,8 @@ Program::pokeDouble(Addr addr, double v)
 std::uint8_t
 Program::peek8(Addr addr) const
 {
+    if (addr >= textBase && addr < textLimit())
+        return text_[(addr - textBase) / 4] >> (8 * (addr % 4));
     auto it = dataPages_.find(pageBase(addr));
     if (it == dataPages_.end())
         return 0;

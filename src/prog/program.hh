@@ -53,7 +53,8 @@ class Program
     /** Reserve @p size bytes in the (statically initialized) heap. */
     Addr allocHeap(std::uint64_t size, std::uint64_t align = 8);
 
-    /** Write initialized bytes into the image. */
+    /** Write initialized bytes into the image; a byte inside the
+     *  text edits the instruction word holding it. */
     void poke8(Addr addr, std::uint8_t v);
     void poke32(Addr addr, std::uint32_t v);
     void poke64(Addr addr, std::uint64_t v);

@@ -41,13 +41,21 @@ allWorkloads()
     return registry;
 }
 
-const Workload &
-findWorkload(const std::string &name)
+const Workload *
+lookupWorkload(const std::string &name)
 {
     for (const Workload &w : allWorkloads())
         if (name == w.name)
-            return w;
-    fatal("unknown workload '%s'", name.c_str());
+            return &w;
+    return nullptr;
+}
+
+const Workload &
+findWorkload(const std::string &name)
+{
+    const Workload *w = lookupWorkload(name);
+    fatal_if(!w, "unknown workload '%s'", name.c_str());
+    return *w;
 }
 
 const std::vector<std::string> &

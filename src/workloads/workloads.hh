@@ -36,6 +36,9 @@ struct Workload
 /** All 14 substitutes, in the paper's Table 1 order. */
 const std::vector<Workload> &allWorkloads();
 
+/** Lookup by name. @return nullptr for an unknown name. */
+const Workload *lookupWorkload(const std::string &name);
+
 /** Lookup by name; fatal on unknown names. */
 const Workload &findWorkload(const std::string &name);
 

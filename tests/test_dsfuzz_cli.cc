@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +23,9 @@
 
 #ifndef DSFUZZ_BIN
 #error "DSFUZZ_BIN must point at the dsfuzz executable"
+#endif
+#ifndef REPRO_DIR
+#error "REPRO_DIR must point at the committed repro corpus"
 #endif
 
 namespace dscalar {
@@ -114,6 +118,37 @@ TEST(DsfuzzCli, MissingReproFileExitsTwo)
     CliResult res =
         runDsfuzz("--repro=/nonexistent/dsfuzz-repro.txt");
     EXPECT_EQ(res.exitCode, 2) << res.output;
+}
+
+TEST(DsfuzzCli, OutOfRangeReproValueExitsTwo)
+{
+    // The clean baseline with one value a replay cannot build: the
+    // file is refused (exit 2, naming the key), never replayed.
+    std::ifstream in(std::string(REPRO_DIR) + "/clean-baseline.txt");
+    std::ostringstream os;
+    os << in.rdbuf();
+    const std::string clean = os.str();
+    ASSERT_FALSE(clean.empty());
+    const std::string path =
+        ::testing::TempDir() + "/dsfuzz_cli_bad_repro." +
+        std::to_string(::getpid()) + ".txt";
+    for (const char *line :
+         {"min_data_pages = 0", "max_data_pages = 100000",
+          "min_iters = 0", "dcache_bytes = 1000", "dcache_assoc = 0",
+          "nodes = 0", "nodes = 100000", "bshr_capacity = 0",
+          "mix_load_accum = 4294967296"}) {
+        const std::string key(line, std::strchr(line, ' ') - line);
+        std::size_t at = clean.find("\n" + key + " = ");
+        ASSERT_NE(at, std::string::npos) << key;
+        std::size_t end = clean.find('\n', at + 1);
+        std::ofstream(path) << clean.substr(0, at + 1) << line
+                            << clean.substr(end);
+        CliResult res = runDsfuzz("--repro=" + path);
+        EXPECT_EQ(res.exitCode, 2) << line << ": " << res.output;
+        EXPECT_NE(res.output.find(key), std::string::npos)
+            << line << ": " << res.output;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(DsfuzzCli, ModelCleanExitsZero)

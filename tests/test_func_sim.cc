@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "driver/run_request.hh"
 #include "func/func_sim.hh"
 #include "prog/assembler.hh"
 
@@ -165,6 +166,40 @@ TEST(FuncSim, SyscallOutput)
         a.syscall(isa::Syscall::PrintChar);
     });
     EXPECT_EQ(sim.output(), "-7\nhi");
+}
+
+TEST(FuncSim, PokedTextPageKeepsItsInstructions)
+{
+    // A poke beside the text, on its page, must leave every
+    // instruction in place; a poke into the text replaces its word.
+    Program nine;
+    Assembler b(nine);
+    b.li(a0, 9);
+    b.finalize();
+    for (bool into_text : {false, true}) {
+        auto p = std::make_shared<Program>();
+        Assembler a(*p);
+        a.li(a0, 7);
+        a.syscall(isa::Syscall::PrintInt);
+        a.halt();
+        a.finalize();
+        if (into_text)
+            p->poke32(p->textBaseAddr(), nine.textWord(0));
+        else
+            p->poke32(p->textBaseAddr() + 0x1000, 0xdeadbeef);
+        const std::string want = into_text ? "9\n" : "7\n";
+
+        FuncSim sim(*p);
+        sim.run(100);
+        EXPECT_EQ(sim.output(), want) << "into_text=" << into_text;
+
+        driver::RunRequest req;
+        req.system = driver::SystemKind::Perfect;
+        req.program = p;
+        driver::RunResponse resp = driver::runOne(req);
+        ASSERT_TRUE(resp.ok()) << resp.error;
+        EXPECT_EQ(resp.output, want) << "into_text=" << into_text;
+    }
 }
 
 TEST(FuncSim, ExitSyscallHalts)

@@ -352,7 +352,9 @@ TEST(FuzzRepro, ParseRejectsMalformedInput)
 
     std::istringstream bad_value("seed = 1\nnodes = banana\n");
     EXPECT_FALSE(check::parseRepro(bad_value, out, error));
-    EXPECT_NE(error.find("non-numeric"), std::string::npos);
+    EXPECT_NE(error.find("line 2: bad value 'banana' for 'nodes'"),
+              std::string::npos)
+        << error;
 
     std::istringstream bad_system("seed = 1\nsystem = vliw\n");
     EXPECT_FALSE(check::parseRepro(bad_system, out, error));

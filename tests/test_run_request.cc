@@ -42,6 +42,7 @@ TEST(Kv, ParseU64Strict)
     EXPECT_FALSE(kv::parseU64("12x", v));
     EXPECT_FALSE(kv::parseU64("-1", v));
     EXPECT_FALSE(kv::parseU64("18446744073709551616", v)); // overflow
+    EXPECT_FALSE(kv::parseU64("30000000000000000000", v)); // wraps above
 }
 
 TEST(Kv, FormatF64RoundTrips)
@@ -189,6 +190,10 @@ TEST(RunRequestParse, Errors)
          "entry count)"},
         {"workload = go_s\nnodes 4\n\n", "line 2: missing '='"},
         {"fault_drop =\n\n", "bad value '' for 'fault_drop'"},
+        {"fault_drop = nan\n\n", "bad value 'nan' for 'fault_drop'"},
+        // Once truncated to 0, which no system can be built with.
+        {"block_pages = 4294967296\n\n",
+         "bad value '4294967296' for 'block_pages'"},
         // Malformed quoting: unterminated, junk after the closing
         // quote, an unknown escape, a dangling escape.
         {"perfetto = \"abc\n\n", "line 1: missing '=' or malformed value"},

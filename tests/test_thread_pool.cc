@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -60,11 +65,28 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 
 TEST(ParallelFor, ZeroJobsMeansHardwareConcurrency)
 {
+    // Each task waits until a second thread has shown up, so one
+    // thread cannot run them all before another starts. The wait
+    // shares one deadline: a serial run costs at most that long.
+    std::mutex mutex;
+    std::condition_variable seen;
+    std::set<std::thread::id> threads;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
     std::vector<int> hits(16, 0);
-    common::parallelFor(0, hits.size(),
-                        [&](std::size_t i) { ++hits[i]; });
+    common::parallelFor(0, hits.size(), [&](std::size_t i) {
+        ++hits[i];
+        std::unique_lock<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
+        seen.notify_all();
+        seen.wait_until(lock, deadline,
+                        [&] { return threads.size() >= 2; });
+    });
     for (int h : hits)
         EXPECT_EQ(h, 1);
+    if (std::thread::hardware_concurrency() >= 2) {
+        EXPECT_GE(threads.size(), 2u);
+    }
 }
 
 } // namespace

@@ -3,67 +3,41 @@
  * dsrun — command-line driver: assemble a .s file (or pick a
  * registered workload) and run it functionally or on any of the
  * timing systems. One-shot front end over driver::RunRequest — every
- * `--key=value` flag below maps 1:1 onto a serialized RunRequest key
- * (dashes to underscores), so a dsrun invocation, a dsfuzz repro
+ * serialized RunRequest key is also a flag, `--key-name=value`
+ * (underscores to dashes; the usage text lists them from
+ * driver::runRequestKeys()), so a dsrun invocation, a dsfuzz repro
  * file, and a dsserve wire request can describe the same run.
  *
  * Usage:
- *   dsrun [options] <program.s | workload-name>
+ *   dsrun [options] [run keys] <program.s | workload-name>
  *
- * Options:
+ * Options that are not run keys:
  *   --system=func|perfect|traditional|datascalar   (default func)
- *   --nodes=N          node count (default 2)
- *   --ring             use the ring interconnect (DataScalar only)
- *   --max-insts=N      truncate the run (default: completion)
- *   --scale=N          workload build scale (registered workloads)
- *   --block-pages=N    round-robin distribution block (default 1)
+ *   --ring / --no-skip / --bshr-hard / --profile / --no-trace-reuse
+ *                      shorthands for --interconnect=ring,
+ *                      --event-driven=0, --bshr-hard=1, --profile=1
+ *                      and --trace-reuse=0
  *   --jobs=N           sweep worker threads (default 1; 0 = all cores);
  *                      each simulation runs on one thread
- *   --no-skip          disable event-driven cycle skipping
  *   --stats            print the full statistics dump
  *   --stats-json=FILE  write run metadata + every stat as JSON
  *                      (schema: docs/OBSERVABILITY.md). FILE "-"
  *                      writes the document to stdout and reroutes
  *                      all human output to stderr, so the result
  *                      pipes cleanly into jq and friends.
- *   --sample-interval=N  sample a per-node timeline every N cycles
- *                      into the stats JSON ("timeline" key)
- *   --profile          measure where wall time goes: request spans
- *                      (build / trace acquisition / sim_run) plus
- *                      the run loop's per-phase attribution, printed
- *                      as a human summary and exported as the
- *                      `profile` stats group. Wall-clock only —
- *                      simulated results are byte-identical.
- *   --perfetto=FILE    write the protocol event stream as Chrome
- *                      trace-event JSON (open in ui.perfetto.dev);
- *                      with --profile the wall-clock spans ride
- *                      along as their own process track. FILE "-"
- *                      streams the JSON to stdout (human output
- *                      moves to stderr).
  *   --trace            stream protocol events to stderr
- *   --fault-drop=P     drop each transmission with probability P
- *   --fault-dup=P      duplicate each transmission with probability P
- *   --fault-delay=P    jitter each delivery with probability P
- *   --fault-max-delay=N  jitter uniform in [1,N] cycles
- *   --fault-seed=S     fault decision-stream seed (default 1)
- *   --rerequest-timeout=N  re-request a missing broadcast after N
- *                      cycles (default 2000 when faults or --bshr-hard
- *                      are on, else recovery off)
- *   --bshr-hard        enforce BSHR capacity (stall + re-request)
  *   --sweep            run the Figure 7 sweep over the timing
  *                      workloads instead of one program; every point
- *                      takes the run flags above, and the figure sets
- *                      its system and node count. --system, a
- *                      program, and flags that only shape one run's
- *                      output (--stats, --stats-json,
- *                      --sample-interval, --profile, --perfetto,
- *                      --trace) are usage errors here.
- *   --no-trace-reuse   capture no shared traces: re-execute each
- *                      sweep point functionally (slower, identical
- *                      numbers)
+ *                      takes the run keys, and the figure sets its
+ *                      system and node count. --system, a program,
+ *                      and flags that only shape one run's output
+ *                      (--stats, --stats-json, --sample-interval,
+ *                      --profile, --perfetto, --trace) are usage
+ *                      errors here.
  *   --list             list registered workloads
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -87,30 +61,19 @@ usage()
     std::fprintf(
         stderr,
         "usage: dsrun [--system=func|perfect|traditional|datascalar]"
-        "\n             [--nodes=N] [--ring] [--max-insts=N]"
-        "\n             [--scale=N] [--block-pages=N] [--jobs=N]"
-        "\n             [--no-skip] [--stats] [--stats-json=FILE|-]"
-        "\n             [--sample-interval=N] [--profile]"
-        "\n             [--perfetto=FILE|-]"
-        "\n             [--trace]"
-        "\n             [--fault-drop=P] [--fault-dup=P]"
-        "\n             [--fault-delay=P] [--fault-max-delay=N]"
-        "\n             [--fault-seed=S] [--rerequest-timeout=N]"
-        "\n             [--bshr-hard]"
-        "\n             <program.s | workload-name>\n"
+        "\n             [--stats] [--stats-json=FILE|-] [--trace]"
+        "\n             [--ring] [--no-skip] [--bshr-hard] [--profile]"
+        "\n             [run keys] <program.s | workload-name>\n"
         "       dsrun --sweep [--jobs=N] [--no-trace-reuse]"
-        " [run flags]\n"
-        "       dsrun --list\n");
+        " [run keys]\n"
+        "       dsrun --list\n"
+        "run keys (--key-name=value):\n");
+    for (const common::kv::Key &key : driver::runRequestKeys()) {
+        std::string flag = key.name;
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        std::fprintf(stderr, "  --%-20s %s\n", flag.c_str(), key.doc);
+    }
     return 2;
-}
-
-bool
-isRegisteredWorkload(const std::string &name)
-{
-    for (const auto &w : workloads::allWorkloads())
-        if (name == w.name)
-            return true;
-    return false;
 }
 
 /** `--long-flag=value` -> RunRequest key `long_flag` + value.
@@ -252,7 +215,7 @@ main(int argc, char **argv)
 
     driver::finalizeRunRequest(req);
     req.workload = target;
-    if (!isRegisteredWorkload(target)) {
+    if (!workloads::lookupWorkload(target)) {
         // Assemble a local .s file; fatal on parse errors, exactly
         // like the registry build path.
         req.program = std::make_shared<const prog::Program>(
