@@ -27,9 +27,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 
-#include "bench/bench_util.hh"
 #include "driver/driver.hh"
 #include "workloads/workloads.hh"
 
@@ -174,13 +175,21 @@ BM_SweepSerialNoReuse(benchmark::State &state)
     sweepBody(state, 1, false);
 }
 
+/** At least two workers so the pool path is always exercised and the
+ *  serial/parallel comparison is meaningful; scaling beyond that
+ *  follows the host's core count (BENCH_JOBS to override). */
+unsigned
+sweepJobs()
+{
+    const char *env = std::getenv("BENCH_JOBS");
+    long jobs = env ? std::atol(env) : std::thread::hardware_concurrency();
+    return static_cast<unsigned>(std::max(2L, jobs));
+}
+
 void
 BM_SweepParallel(benchmark::State &state)
 {
-    // At least two workers so the pool path is always exercised and
-    // the serial/parallel comparison is meaningful; scaling beyond
-    // that follows the host's core count (BENCH_JOBS to override).
-    unsigned jobs = std::max(2u, bench::benchJobs());
+    unsigned jobs = sweepJobs();
     state.counters["jobs"] = jobs;
     sweepBody(state, jobs);
 }
@@ -188,7 +197,7 @@ BM_SweepParallel(benchmark::State &state)
 void
 BM_SweepParallelNoReuse(benchmark::State &state)
 {
-    unsigned jobs = std::max(2u, bench::benchJobs());
+    unsigned jobs = sweepJobs();
     state.counters["jobs"] = jobs;
     sweepBody(state, jobs, false);
 }

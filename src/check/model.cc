@@ -532,16 +532,30 @@ describeModelConfig(const ModelConfig &c)
     return os.str();
 }
 
+std::string
+ModelConfig::validate() const
+{
+    const struct
+    {
+        const char *what;
+        unsigned value, lo, hi;
+    } bounds[] = {{"model nodes", nodes, 2, kMaxNodes},
+                  {"model lines", lines, 1, kMaxLines},
+                  {"model episodes", episodes, 1, kMaxEpisodes}};
+    for (const auto &b : bounds)
+        if (b.value < b.lo || b.value > b.hi)
+            return std::string(b.what) + " " + std::to_string(b.value) +
+                   " outside " + std::to_string(b.lo) + ".." +
+                   std::to_string(b.hi);
+    return "";
+}
+
 ModelResult
 checkScript(const ModelConfig &cfg,
             const std::vector<unsigned> &script)
 {
-    fatal_if(cfg.nodes < 2 || cfg.nodes > kMaxNodes,
-             "model: nodes must be 2..%u", kMaxNodes);
-    fatal_if(cfg.lines < 1 || cfg.lines > kMaxLines,
-             "model: lines must be 1..%u", kMaxLines);
-    fatal_if(cfg.episodes < 1 || cfg.episodes > kMaxEpisodes,
-             "model: episodes must be 1..%u", kMaxEpisodes);
+    std::string shape_error = cfg.validate();
+    fatal_if(!shape_error.empty(), "%s", shape_error.c_str());
     fatal_if(script.size() != cfg.episodes,
              "model: script length %zu != episodes %u",
              script.size(), cfg.episodes);

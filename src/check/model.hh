@@ -76,6 +76,11 @@ struct ModelConfig
 
     /** Planted protocol bug mirrored by the concrete BSHR. */
     core::ProtocolMutation mutation = core::ProtocolMutation::None;
+
+    /** @return "" when the model can enumerate this shape (nodes,
+     *  lines and episodes within the bounds above), else the bound
+     *  it breaks. */
+    std::string validate() const;
 };
 
 /** One-line summary of @p config (logs, test failure messages). */

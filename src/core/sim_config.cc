@@ -17,6 +17,20 @@ validate(const SimConfig &cfg, bool dataScalar)
                " / dcache_assoc " + std::to_string(d.assoc) + ": " + e;
     if (std::string e = cfg.core.icache.validate(); !e.empty())
         return "icache: " + e;
+    // A delivery jittered past the watchdog window reads as a deadlock
+    // and aborts the run. A ring draws a fresh delay at every hop, so
+    // one broadcast's jitter is up to (nodes - 1) delays; half the
+    // window is left for transit, queueing behind a delayed message
+    // and the time since the last commit.
+    const Cycle hops =
+        cfg.interconnect == InterconnectKind::Ring && cfg.numNodes > 1
+            ? cfg.numNodes - 1 : 1;
+    const Cycle limit = cfg.watchdogCycles / 2 / hops;
+    if (cfg.fault.maxDelay > limit)
+        return "fault_max_delay " + std::to_string(cfg.fault.maxDelay) +
+               " over " + std::to_string(hops) +
+               " hop(s) can exceed half the watchdog window (max " +
+               std::to_string(limit) + ")";
     if (dataScalar && cfg.bshrHardCapacity && cfg.rerequestTimeout == 0)
         return "bshr_hard needs re-request recovery "
                "(rerequest_timeout > 0)";

@@ -100,7 +100,9 @@ struct SimConfig
 
 /**
  * Check @p cfg against the rules of the components it configures:
- * node count, BSHR capacity, cache geometry (mem::CacheParams) and,
+ * node count, BSHR capacity, cache geometry (mem::CacheParams), a
+ * fault delay ceiling whose worst per-broadcast jitter stays within
+ * half the watchdog window and,
  * with @p dataScalar, the DataScalar system's own rule that a hard
  * BSHR needs re-request recovery. Messages name each parameter by
  * its request or repro key where it has one.

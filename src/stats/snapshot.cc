@@ -48,6 +48,16 @@ Snapshot::addHistogram(GroupEntry &g, std::string name,
     return ref;
 }
 
+const Counter *
+Snapshot::counter(const std::string &group, const std::string &name) const
+{
+    for (const GroupEntry &g : groups_)
+        for (const StatBase *s : g.group.statList())
+            if (g.name == group && s->name() == name)
+                return dynamic_cast<const Counter *>(s);
+    return nullptr;
+}
+
 namespace {
 
 /** Renders one stat in the historical dumpStats line format. */

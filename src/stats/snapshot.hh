@@ -54,6 +54,11 @@ class Snapshot
 
     const std::deque<GroupEntry> &groups() const { return groups_; }
 
+    /** The counter @p name of group @p group; nullptr when the
+     *  snapshot has no such group or the group no such counter. */
+    const Counter *counter(const std::string &group,
+                           const std::string &name) const;
+
     /**
      * Render the legacy text format: each group's title line followed
      * by "  name" padded to 34 columns, the value, and "  # desc".

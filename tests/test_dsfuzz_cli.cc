@@ -151,6 +151,21 @@ TEST(DsfuzzCli, OutOfRangeReproValueExitsTwo)
     std::remove(path.c_str());
 }
 
+TEST(DsfuzzCli, ModelShapeOutOfBoundsExitsTwo)
+{
+    // A shape the model cannot enumerate is a usage error, named by
+    // its bound; exit 1 would claim a counterexample.
+    for (const char *args :
+         {"--model --model-nodes=100", "--model --model-nodes=1",
+          "--model --model-lines=5", "--model --model-episodes=7"}) {
+        CliResult res = runDsfuzz(args);
+        EXPECT_EQ(res.exitCode, 2) << args << ": " << res.output;
+        EXPECT_NE(res.output.find("outside"), std::string::npos)
+            << args << ": " << res.output;
+        EXPECT_NE(res.output.find("usage:"), std::string::npos) << args;
+    }
+}
+
 TEST(DsfuzzCli, ModelCleanExitsZero)
 {
     CliResult res = runDsfuzz(

@@ -192,6 +192,36 @@ TEST(DsServe, HardBshrWithoutRecoveryRejectedServerSurvives)
     server.stop();
 }
 
+TEST(DsServe, FaultDelayPastWatchdogRejectedServerSurvives)
+{
+    serve::Server server(testConfig("t_dss_delay.sock"));
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    serve::Client client = connectTo("t_dss_delay.sock");
+
+    // A delivery jittered past the 5M-cycle watchdog window used to
+    // abort the run, and with it the daemon. On the bus one delay
+    // past the window did it; on a 4-node ring three hops of 4M each.
+    const char *blocks[] = {
+        "workload = go_s\nsystem = datascalar\nnodes = 2\n"
+        "fault_delay = 1\nfault_max_delay = 100000000\n"
+        "max_insts = 2000\n\n",
+        "workload = go_s\nsystem = datascalar\nnodes = 4\n"
+        "interconnect = ring\nfault_delay = 1\n"
+        "fault_max_delay = 4000000\nmax_insts = 2000\n\n"};
+    for (const char *block : blocks) {
+        std::istringstream in(block);
+        driver::RunRequest req;
+        ASSERT_TRUE(driver::parseRunRequest(in, req, error)) << error;
+        serve::Reply reply = client.run(req);
+        EXPECT_FALSE(reply.ok) << block;
+        EXPECT_NE(reply.error.find("fault_max_delay"), std::string::npos)
+            << reply.error;
+        EXPECT_TRUE(client.ping().ok) << block;
+    }
+    server.stop();
+}
+
 /** Send @p block to a fresh daemon: the reply is an unreachable-owner
  *  error, and the daemon still answers a ping afterwards. */
 void

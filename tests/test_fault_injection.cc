@@ -1,6 +1,7 @@
 /** @file Tests for interconnect fault injection and re-request
  *  recovery: seeded determinism, completion under loss, hard BSHR
- *  capacity, and the watchdog diagnostic dump. That faulty and
+ *  capacity, the watchdog diagnostic dump and the fault-delay
+ *  ceiling that keeps jitter inside its window. That faulty and
  *  hard-BSHR runs repeat byte for byte, stepped or skipping, is
  *  checked by tests/test_identity.cc. */
 
@@ -341,6 +342,34 @@ TEST(Watchdog, DeadlockPanicsWithDiagnostics)
             sys.run();
         },
         "protocol deadlock");
+}
+
+TEST(Watchdog, FaultDelayCeilingCoversEveryRingHop)
+{
+    // One broadcast's jitter (a delay per bus message, one per ring
+    // hop) must stay within half the watchdog window.
+    struct Case
+    {
+        core::InterconnectKind kind;
+        unsigned nodes;
+        Cycle maxOk;
+    } cases[] = {{core::InterconnectKind::Bus, 2, 2'500'000},
+                 {core::InterconnectKind::Bus, 256, 2'500'000},
+                 {core::InterconnectKind::Ring, 1, 2'500'000},
+                 {core::InterconnectKind::Ring, 4, 833'333},
+                 {core::InterconnectKind::Ring, 256, 9'803}};
+    for (const Case &c : cases) {
+        core::SimConfig cfg = driver::paperConfig();
+        cfg.interconnect = c.kind;
+        cfg.numNodes = c.nodes;
+        cfg.fault.delayProb = 1.0;
+        cfg.fault.maxDelay = c.maxOk;
+        EXPECT_EQ(core::validate(cfg, true), "") << c.nodes;
+        cfg.fault.maxDelay = c.maxOk + 1;
+        EXPECT_NE(core::validate(cfg, true).find("fault_max_delay"),
+                  std::string::npos)
+            << c.nodes;
+    }
 }
 
 TEST(Watchdog, HardCapacityWithoutRecoveryIsRejected)

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "stats/snapshot.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
@@ -163,6 +164,25 @@ TEST(StatVisitorTest, TypedDispatch)
     EXPECT_EQ(v.last, "average");
     h.visit(v);
     EXPECT_EQ(v.last, "histogram");
+}
+
+TEST(SnapshotTest, CounterLookup)
+{
+    Snapshot snap;
+    Snapshot::GroupEntry &sys = snap.addGroup("system", "system:");
+    snap.addCounter(sys, "bus_messages", 42, "");
+    snap.addScalar(sys, "ipc", 1.5, "");
+    Snapshot::GroupEntry &node = snap.addGroup("node0", "node0:");
+    snap.addCounter(node, "bshr_squashes", 7, "");
+
+    const Counter *c = snap.counter("system", "bus_messages");
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->value(), 42u);
+    EXPECT_EQ(snap.counter("node0", "bshr_squashes")->value(), 7u);
+    EXPECT_EQ(snap.counter("system", "bus_bytes"), nullptr);
+    EXPECT_EQ(snap.counter("node1", "bshr_squashes"), nullptr);
+    // A stat of another kind is not a counter.
+    EXPECT_EQ(snap.counter("system", "ipc"), nullptr);
 }
 
 } // namespace

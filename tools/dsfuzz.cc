@@ -315,8 +315,10 @@ modelCounterexampleToRepro(const check::ModelConfig &shape,
     return 1;
 }
 
-int
-runModel(const Options &opt)
+/** The shapes --model enumerates: one --model-* shape, or the
+ *  default suite. */
+std::vector<check::ModelConfig>
+modelShapes(const Options &opt)
 {
     std::vector<check::ModelConfig> shapes;
     if (opt.modelNodes || opt.modelLines || opt.modelEpisodes) {
@@ -350,12 +352,19 @@ runModel(const Options &opt)
         wide.episodes = 2;
         shapes.push_back(wide);
     }
-
-    auto start = std::chrono::steady_clock::now();
-    std::uint64_t states = 0, transitions = 0;
     for (check::ModelConfig &shape : shapes) {
         shape.mutation = opt.mutation;
         shape.depthBound = opt.modelDepth;
+    }
+    return shapes;
+}
+
+int
+runModel(const Options &opt, const std::vector<check::ModelConfig> &shapes)
+{
+    auto start = std::chrono::steady_clock::now();
+    std::uint64_t states = 0, transitions = 0;
+    for (const check::ModelConfig &shape : shapes) {
         check::ModelResult res = check::checkModel(shape);
         states += res.states;
         transitions += res.transitions;
@@ -683,12 +692,20 @@ main(int argc, char **argv)
         std::fprintf(stderr, "dsfuzz: --ngram must be 1..8\n");
         return usage();
     }
+    std::vector<check::ModelConfig> shapes;
+    if (opt.model)
+        shapes = modelShapes(opt);
+    for (const check::ModelConfig &shape : shapes)
+        if (std::string error = shape.validate(); !error.empty()) {
+            std::fprintf(stderr, "dsfuzz: %s\n", error.c_str());
+            return usage();
+        }
 
     if (!opt.reproIn.empty())
         return replayRepro(opt);
 
     installSignalHandlers();
     if (opt.model)
-        return runModel(opt);
+        return runModel(opt, shapes);
     return runCampaign(opt);
 }
