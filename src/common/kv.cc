@@ -270,6 +270,30 @@ applyKey(std::span<const Key> keys, void *obj, const std::string &key,
     return &*k;
 }
 
+bool
+argToKey(const std::string &arg, std::string &key, std::string &value)
+{
+    if (arg.rfind("--", 0) != 0)
+        return false;
+    std::size_t eq = arg.find('=');
+    key = arg.substr(2, eq == std::string::npos ? std::string::npos
+                                                : eq - 2);
+    value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    std::replace(key.begin(), key.end(), '-', '_');
+    return true;
+}
+
+void
+printFlags(std::ostream &os, std::span<const Key> keys)
+{
+    for (const Key &k : keys) {
+        std::string flag = k.name;
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        flag.resize(std::max<std::size_t>(flag.size(), 20), ' ');
+        os << "  --" << flag << ' ' << k.doc << '\n';
+    }
+}
+
 int
 parseBlock(std::istream &in, std::span<const Key> keys, void *obj,
            bool untilBlank, std::string &error)

@@ -8,9 +8,9 @@
  * formats from drifting apart.
  *
  * A serialized type declares its keys once, as a constant array of
- * Key rows; applyKey, parseBlock and format all read that array (as
- * does dsrun's usage listing), so parse, format, range checks and
- * usage cannot disagree.
+ * Key rows; applyKey, parseBlock and format all read that array, and
+ * so do the command lines of dsrun and dsserve (argToKey, printFlags),
+ * so parse, format, range checks and usage cannot disagree.
  */
 
 #ifndef DSCALAR_COMMON_KV_HH
@@ -130,6 +130,15 @@ int nameIndex(std::span<const char *const> names, const std::string &name);
 const Key *applyKey(std::span<const Key> keys, void *obj,
                     const std::string &key, const std::string &value,
                     std::string &error);
+
+/** Split a `--key-name=value` command-line flag into the key
+ *  `key_name` (dashes to underscores) and its value ("" without
+ *  '='). @return false for an argument not starting with "--". */
+bool argToKey(const std::string &arg, std::string &key,
+              std::string &value);
+
+/** Print one `  --key-name  doc` usage line per row of @p keys. */
+void printFlags(std::ostream &os, std::span<const Key> keys);
 
 /** Apply `key = value` lines, skipping blank and '#' lines; with
  *  @p untilBlank a blank line after a key ends the block. @return the

@@ -157,11 +157,11 @@ mem::PageTable figure7PageTable(const prog::Program &program,
  * workload, as a formatted IPC table. Every point is @p base with
  * the workload, system and node count the figure sets; the budget,
  * interconnect, faults, recovery, BSHR and cycle skipping all come
- * from @p base. One TraceCache serves the table, and
- * base.traceReuse decides whether points replay a shared capture
- * (the table is identical either way). All points run concurrently
- * under @p jobs. A failed point is fatal unless @p error is given:
- * then it names the first failed point and the table is empty.
+ * from @p base. One TraceCache serves the table: each workload's
+ * trace is captured once and every point replays it. All points run
+ * concurrently under @p jobs. A failed point is fatal unless @p
+ * error is given: then it names the first failed point and the table
+ * is empty.
  */
 stats::Table
 fig7IpcTable(const std::vector<std::string> &workload_names,

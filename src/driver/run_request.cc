@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "baseline/perfect.hh"
@@ -15,6 +16,7 @@
 #include "driver/trace_cache.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/perfetto.hh"
+#include "obs/sampler.hh"
 #include "workloads/workloads.hh"
 
 namespace dscalar {
@@ -115,7 +117,6 @@ constexpr kv::Key kRunRequestKeys[] = {
     {"bshr_hard", F(config.bshrHardCapacity), "enforce BSHR capacity"},
     {"bshr_capacity", F(config.bshrCapacity), "BSHR bank capacity",
      kBshrCapacityRange},
-    {"trace_reuse", F(traceReuse), "replay a shared captured trace"},
     {"sample_interval", F(sampleInterval), "timeline period (cycles), 0 = off"},
     {"profile", F(profile), "wall-clock phase profile (numbers unchanged)",
      {}, kv::kOptional},
@@ -259,13 +260,9 @@ runAttached(core::TimingSystem &sys, const RunRequest &req,
         flight.installPanicDump();
     }
 
-    obs::Sampler local_sampler(req.sampleInterval ? req.sampleInterval
-                                                  : 1);
-    obs::Sampler *sampler = req.sampler;
-    if (!sampler && req.sampleInterval)
-        sampler = &local_sampler;
-    if (sampler)
-        sys.setSampler(sampler);
+    std::optional<obs::Sampler> sampler;
+    if (req.sampleInterval)
+        sys.setSampler(&sampler.emplace(req.sampleInterval));
 
     if (spans && req.profile)
         sys.setProfiler(spans);
@@ -283,9 +280,9 @@ runAttached(core::TimingSystem &sys, const RunRequest &req,
             perfetto->appendWallSpans(*spans);
         perfetto->finish();
     }
-    if (sampler == &local_sampler) {
+    if (sampler) {
         std::ostringstream os;
-        local_sampler.writeJson(os);
+        sampler->writeJson(os);
         resp.timelineJson = os.str();
     }
     resp.error = resp.result.error;
@@ -332,7 +329,7 @@ runOne(const RunRequest &req, TraceCache *cache)
     }
 
     std::shared_ptr<const func::InstTrace> trace = req.trace;
-    if (!trace && req.traceReuse && !req.program) {
+    if (!trace && !req.program) {
         // The acquisition path only learns where the trace came from
         // as it runs; the span is renamed to what actually happened.
         obs::SpanScope span(spans, "trace_capture");

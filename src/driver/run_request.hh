@@ -32,7 +32,6 @@
 #include "common/kv.hh"
 #include "core/sim_config.hh"
 #include "func/inst_trace.hh"
-#include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "prog/program.hh"
 #include "stats/json_writer.hh"
@@ -87,8 +86,8 @@ parseInterconnectKind(const std::string &name);
  * The serializable subset (everything formatRunRequest emits) covers
  * the registered-workload surface that dsrun flags and the dsserve
  * wire protocol expose. Library callers may additionally attach a
- * pre-built program, a pre-captured trace, or an external sampler —
- * those fields do not serialize and are documented as such.
+ * pre-built program or a pre-captured trace — those fields do not
+ * serialize and are documented as such.
  */
 struct RunRequest
 {
@@ -109,9 +108,6 @@ struct RunRequest
                              ///  (key `block_pages`)
 
     // --- serializable: run attachments ---------------------------
-    /** Replay a shared captured trace when a TraceCache is available
-     *  (key `trace_reuse`; byte-identical numbers either way). */
-    bool traceReuse = true;
     /** Sample a per-node timeline every N cycles into the stats JSON
      *  (key `sample_interval`; 0 = off). */
     Cycle sampleInterval = 0;
@@ -136,9 +132,6 @@ struct RunRequest
     std::shared_ptr<const prog::Program> program;
     /** Pre-captured trace to replay; overrides TraceCache lookup. */
     std::shared_ptr<const func::InstTrace> trace;
-    /** External sampler (caller inspects it afterwards); suppresses
-     *  the internally-owned one @ref sampleInterval would create. */
-    obs::Sampler *sampler = nullptr;
     /** Stream protocol events to stderr (dsrun --trace). */
     bool traceToStderr = false;
     /** Keep a flight recorder attached and dump it on panic (dsrun
@@ -220,8 +213,9 @@ stats::RunMeta runMeta(const RunRequest &req);
  * Execute one request. The program comes from @ref
  * RunRequest::program, else @p cache (built once per (workload,
  * scale)), else a fresh registry build; the replayed trace from
- * @ref RunRequest::trace, else @p cache when traceReuse is set, else
- * the run executes live. Unknown workloads, unwritable perfetto
+ * @ref RunRequest::trace, else @p cache when the program came from
+ * the workload registry, else the run executes live (byte-identical
+ * numbers either way). Unknown workloads, unwritable perfetto
  * paths and hopeless runs (an owner unreachable after every
  * re-request) come back as RunResponse::error rather than aborting
  * (the serving path must survive bad requests).

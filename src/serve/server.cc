@@ -237,7 +237,6 @@ Server::handleRun(std::istream &in)
     // parse could never set and match dsrun's always-on recorder.
     req.program = nullptr;
     req.trace = nullptr;
-    req.sampler = nullptr;
     req.spans = nullptr; // admitAndRun attaches the per-request one
     req.traceToStderr = false;
     req.flightRecorder = true;

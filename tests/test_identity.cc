@@ -445,18 +445,22 @@ TEST(Identity, Sampling)
 {
     // Skipped cycles are no-ops, so a sample inside a skip window reads
     // the cycle-stepped values: the timelines match byte for byte. The
-    // skipping runs go live through runMany on four workers, so
-    // concurrent samplers are checked too.
+    // skipping runs go through runMany on four workers, so concurrent
+    // samplers are checked too. Every request carries its built
+    // program, so every run executes live (a request with a program
+    // never replays the cache) and run_meta still names the workload.
+    driver::TraceCache programs;
     std::vector<RunRequest> reqs;
     for (const Point &p : points()) {
         reqs.push_back(p.req);
         reqs.back().sampleInterval = 100;
-        reqs.back().traceReuse = false;
+        if (!p.req.program)
+            reqs.back().program =
+                programs.program(p.req.workload, p.req.scale);
     }
     Mismatches bad("sampling"), stepped_bad("sampling, no-skip");
-    driver::TraceCache unused;
     bad.running(nullptr);
-    std::vector<RunResponse> skipped = driver::runMany(reqs, unused, 4);
+    std::vector<RunResponse> skipped = driver::runMany(reqs, programs, 4);
     for (std::size_t i = 0; i < points().size(); ++i) {
         const Point &p = points()[i];
         bad.responseMatches(p, skipped[i]);

@@ -132,18 +132,23 @@ TEST(SamplerIntegration, RegistersExpectedColumns)
 
 TEST(SamplerIntegration, RunOneAcceptsSampler)
 {
-    Sampler sampler(100);
     driver::RunRequest req;
     req.program =
         std::make_shared<const prog::Program>(stridedProgram(2));
     req.config.numNodes = 2;
-    req.sampler = &sampler;
+    req.sampleInterval = 100;
     driver::RunResponse resp = driver::runOne(req);
     ASSERT_TRUE(resp.ok()) << resp.error;
     EXPECT_GT(resp.result.cycles, 0u);
-    EXPECT_GT(sampler.sampleCount(), 0u);
+
+    std::string error;
+    mini_json::Value doc = mini_json::parse(resp.timelineJson, error);
+    ASSERT_EQ(error, "") << resp.timelineJson;
+    EXPECT_EQ(doc.find("interval")->number, 100);
+    const std::vector<mini_json::Value> &cycles = doc.find("cycles")->array;
+    ASSERT_FALSE(cycles.empty());
     // The last emitted nominal cycle never exceeds the run length.
-    EXPECT_LT(sampler.cycles().back(), resp.result.cycles);
+    EXPECT_LT(cycles.back().number, double(resp.result.cycles));
 }
 
 } // namespace

@@ -75,7 +75,6 @@ nonDefaultRequest()
     req.config.bshrHardCapacity = true;
     req.config.bshrCapacity = 16;
     req.blockPages = 2;
-    req.traceReuse = false;
     req.sampleInterval = 500;
     req.profile = true;
     req.perfettoPath = "trace.json";
@@ -106,7 +105,6 @@ TEST(RunRequestFormat, ParseIsExactInverse)
     EXPECT_TRUE(parsed.config.bshrHardCapacity);
     EXPECT_EQ(parsed.config.bshrCapacity, 16u);
     EXPECT_EQ(parsed.blockPages, 2u);
-    EXPECT_FALSE(parsed.traceReuse);
     EXPECT_EQ(parsed.sampleInterval, 500u);
     EXPECT_TRUE(parsed.profile);
     EXPECT_EQ(parsed.perfettoPath, "trace.json");
@@ -162,14 +160,17 @@ TEST(RunRequestParse, CommentsAndBlankPrefix)
 TEST(RunRequestParse, Errors)
 {
     // Each block and a piece of the error it must give. `tick_threads`
-    // named the removed per-node parallel loop, and `trace_dir` the
-    // removed persistent trace store.
+    // named the removed per-node parallel loop, `trace_dir` the
+    // removed persistent trace store, and `trace_reuse` the removed
+    // switch that made a run with a cache execute live.
     const std::pair<const char *, const char *> cases[] = {
         {"\n\n", "empty request"},
         {"workload = go_s\nbogus = 1\n\n", "line 2: unknown key 'bogus'"},
         {"workload = go_s\ntick_threads = 1\n\n",
          "unknown key 'tick_threads'"},
         {"workload = go_s\ntrace_dir = 1\n\n", "unknown key 'trace_dir'"},
+        {"workload = go_s\ntrace_reuse = 0\n\n",
+         "unknown key 'trace_reuse'"},
         {"system = vector\n\n", "unknown system 'vector'"},
         {"nodes = 0\n\n", "bad value '0' for 'nodes'"},
         {"fault_drop = 1.5\n\n", "bad value '1.5' for 'fault_drop'"},

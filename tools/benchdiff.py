@@ -1,22 +1,6 @@
 #!/usr/bin/env python3
-"""Compare two JSON dumps: google-benchmark runs or dsrun stats.
-
-Benchmark mode — the simspeed baseline workflow:
-
-    build/bench/simspeed --benchmark_out=new.json \
-                         --benchmark_out_format=json
-    tools/benchdiff.py simspeed.benchmark.json new.json
-
-Benchmarks are matched by name. The primary metric is
-items_per_second (simulated instructions per wall second, which every
-simspeed benchmark reports); real_time is the fallback, normalized
-through time_unit. A benchmark is a regression when it got slower by
-more than --threshold (default 20%, generous because single-machine
-wall-clock — especially on loaded CI hosts — is noisy; tighten for a
-quiet dedicated box).
-
-Stats mode — selected automatically when both inputs carry a
-"groups" key (dsrun --stats-json output, docs/OBSERVABILITY.md):
+"""Compare two dsrun stats dumps (dsrun --stats-json output,
+docs/OBSERVABILITY.md):
 
     build/tools/dsrun --system=datascalar --stats-json=a.json ...
     tools/benchdiff.py a.json b.json [--tolerance=0.01]
@@ -36,15 +20,13 @@ deterministic counters in the same documents stay exact. This lets
 one invocation diff a full --profile dump or two dsserve stats
 snapshots without hand-filtering the timing keys.
 
-Exit status: 0 = no regressions / all stats within tolerance,
+Exit status: 0 = all stats within tolerance,
 1 = at least one difference beyond the bound, 2 = usage/input error.
 """
 
 import argparse
 import json
 import sys
-
-_TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_json(path):
@@ -53,24 +35,6 @@ def load_json(path):
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"benchdiff: cannot read {path}: {e}")
-
-
-def load_rows(path, data):
-    """name -> (metric_value, higher_is_better) for every real run."""
-    rows = {}
-    for b in data.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repetitions).
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        name = b["name"]
-        if "items_per_second" in b:
-            rows[name] = (float(b["items_per_second"]), True)
-        elif "real_time" in b:
-            scale = _TIME_UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
-            rows[name] = (float(b["real_time"]) * scale, False)
-    if not rows:
-        sys.exit(f"benchdiff: no benchmark rows in {path}")
-    return rows
 
 
 # Stats groups whose values are wall-clock measurements rather than
@@ -152,73 +116,24 @@ def diff_stats(base_data, cur_data, tolerance, wall_tolerance):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="diff two google-benchmark or dsrun-stats JSON "
-                    "dumps")
+        description="diff two dsrun stats JSON dumps")
     ap.add_argument("baseline", help="reference JSON dump")
     ap.add_argument("current", help="candidate JSON dump")
-    ap.add_argument("--threshold", type=float, default=0.20,
-                    help="fractional slowdown that counts as a "
-                         "regression (benchmark mode, default: "
-                         "%(default)s)")
     ap.add_argument("--tolerance", type=float, default=0.0,
-                    help="relative per-stat bound (stats mode, "
-                         "default: exact)")
+                    help="relative per-stat bound (default: exact)")
     ap.add_argument("--wall-tolerance", type=float, default=1.0,
                     help="relative bound for wall-clock stats "
                          "(profile/latency/phases groups, *_us "
                          "stats; 1000 us absolute floor applies, "
                          "default: %(default)s)")
     args = ap.parse_args()
-    if args.threshold < 0:
-        ap.error("--threshold must be >= 0")
     if args.tolerance < 0:
         ap.error("--tolerance must be >= 0")
     if args.wall_tolerance < 0:
         ap.error("--wall-tolerance must be >= 0")
 
-    base_data = load_json(args.baseline)
-    cur_data = load_json(args.current)
-    base_is_stats = "groups" in base_data
-    if base_is_stats != ("groups" in cur_data):
-        sys.exit("benchdiff: cannot mix a stats dump with a "
-                 "benchmark dump")
-    if base_is_stats:
-        return diff_stats(base_data, cur_data, args.tolerance,
-                          args.wall_tolerance)
-
-    base = load_rows(args.baseline, base_data)
-    cur = load_rows(args.current, cur_data)
-
-    regressions = []
-    print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} "
-          f"{'speedup':>8}")
-    for name in sorted(base):
-        if name not in cur:
-            print(f"{name:<44} {'(missing in current)':>34}")
-            continue
-        bval, higher_better = base[name]
-        cval, _ = cur[name]
-        if bval <= 0 or cval <= 0:
-            continue
-        # speedup > 1 means the current run is faster.
-        speedup = (cval / bval) if higher_better else (bval / cval)
-        mark = ""
-        if speedup < 1.0 - args.threshold:
-            mark = "  REGRESSION"
-            regressions.append((name, speedup))
-        print(f"{name:<44} {bval:>12.4g} {cval:>12.4g} "
-              f"{speedup:>7.2f}x{mark}")
-    for name in sorted(set(cur) - set(base)):
-        print(f"{name:<44} {'(new, no baseline)':>34}")
-
-    if regressions:
-        print(f"\n{len(regressions)} regression(s) beyond "
-              f"{args.threshold:.0%}:", file=sys.stderr)
-        for name, speedup in regressions:
-            print(f"  {name}: {speedup:.2f}x", file=sys.stderr)
-        return 1
-    print(f"\nno regressions beyond {args.threshold:.0%}")
-    return 0
+    return diff_stats(load_json(args.baseline), load_json(args.current),
+                      args.tolerance, args.wall_tolerance)
 
 
 if __name__ == "__main__":

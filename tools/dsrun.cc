@@ -13,10 +13,9 @@
  *
  * Options that are not run keys:
  *   --system=func|perfect|traditional|datascalar   (default func)
- *   --ring / --no-skip / --bshr-hard / --profile / --no-trace-reuse
+ *   --ring / --no-skip / --bshr-hard / --profile
  *                      shorthands for --interconnect=ring,
- *                      --event-driven=0, --bshr-hard=1, --profile=1
- *                      and --trace-reuse=0
+ *                      --event-driven=0, --bshr-hard=1 and --profile=1
  *   --jobs=N           sweep worker threads (default 1; 0 = all cores);
  *                      each simulation runs on one thread
  *   --stats            print the full statistics dump
@@ -37,7 +36,6 @@
  *   --list             list registered workloads
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -64,33 +62,11 @@ usage()
         "\n             [--stats] [--stats-json=FILE|-] [--trace]"
         "\n             [--ring] [--no-skip] [--bshr-hard] [--profile]"
         "\n             [run keys] <program.s | workload-name>\n"
-        "       dsrun --sweep [--jobs=N] [--no-trace-reuse]"
-        " [run keys]\n"
+        "       dsrun --sweep [--jobs=N] [run keys]\n"
         "       dsrun --list\n"
         "run keys (--key-name=value):\n");
-    for (const common::kv::Key &key : driver::runRequestKeys()) {
-        std::string flag = key.name;
-        std::replace(flag.begin(), flag.end(), '_', '-');
-        std::fprintf(stderr, "  --%-20s %s\n", flag.c_str(), key.doc);
-    }
+    common::kv::printFlags(std::cerr, driver::runRequestKeys());
     return 2;
-}
-
-/** `--long-flag=value` -> RunRequest key `long_flag` + value.
- *  @return false for non-flag arguments. */
-bool
-argToKey(const std::string &arg, std::string &key, std::string &value)
-{
-    if (arg.rfind("--", 0) != 0)
-        return false;
-    std::size_t eq = arg.find('=');
-    key = arg.substr(2, eq == std::string::npos ? std::string::npos
-                                                : eq - 2);
-    value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    for (char &c : key)
-        if (c == '-')
-            c = '_';
-    return true;
 }
 
 /** The --profile human summary: the request's span tree (closed
@@ -151,8 +127,6 @@ main(int argc, char **argv)
             stats = true;
         } else if (arg == "--sweep") {
             sweep = true;
-        } else if (arg == "--no-trace-reuse") {
-            req.traceReuse = false;
         } else if (arg == "--ring") {
             req.config.interconnect = core::InterconnectKind::Ring;
         } else if (arg == "--no-skip") {
@@ -163,7 +137,7 @@ main(int argc, char **argv)
             req.profile = true;
         } else if (!arg.empty() && arg[0] == '-') {
             std::string key, value;
-            if (!argToKey(arg, key, value))
+            if (!common::kv::argToKey(arg, key, value))
                 return usage();
             if (key == "system") {
                 system = value;

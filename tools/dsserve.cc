@@ -14,20 +14,9 @@
  *           [--max-insts=N] [--max-request-bytes=N]
  *           [--output-dir=DIR]
  *
- * Options:
- *   --socket=PATH          socket path (default dsserve.sock; keep it
- *                          short — sun_path holds ~107 bytes)
- *   --jobs=N               simulation worker threads (default 0 = all
- *                          cores)
- *   --max-queue=N          admission: max runs queued or running
- *                          (default 256)
- *   --max-insts=N          admission: per-request instruction budget;
- *                          requests must set max_insts in (0, N]
- *                          (default 0 = unlimited)
- *   --max-request-bytes=N  reject larger request blocks (default 16384)
- *   --output-dir=DIR       directory for server-side Perfetto files;
- *                          requests with a perfetto key are rejected
- *                          when unset
+ * Each flag is a row of kFlags below, `--key-name=value` over one
+ * ServerConfig field with its range; the usage text lists the rows.
+ * A malformed or out-of-range value prints usage and exits 2.
  *
  * Stop it with a client `op = shutdown` request (e.g.
  * `dsbench --shutdown`): the daemon drains in-flight runs, replies,
@@ -36,6 +25,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 #include <string>
 
 #include "common/kv.hh"
@@ -45,37 +35,40 @@ using namespace dscalar;
 
 namespace {
 
+namespace kv = common::kv;
+
+#define F(m)                                                           \
+    [](void *o) { return kv::Ref(static_cast<serve::ServerConfig *>(o)->m); }
+
+constexpr kv::Key kFlags[] = {
+    {"socket", F(socketPath),
+     "socket path (default dsserve.sock; sun_path holds ~107 bytes)",
+     {.min = 1, .noun = "socket path"}},
+    // A thread per worker: the ceiling keeps a typo from asking the
+    // host for millions of threads.
+    {"jobs", F(jobs), "simulation worker threads (default 0 = all cores)",
+     {0, 256, "worker count"}},
+    {"max_queue", F(maxQueueDepth),
+     "admission: max runs queued or running (default 256)",
+     {.min = 1, .noun = "queue depth"}},
+    {"max_insts", F(maxInstBudget),
+     "admission: requests must set max_insts in (0, N] (default 0 = "
+     "unlimited)"},
+    {"max_request_bytes", F(maxRequestBytes),
+     "reject larger request blocks (default 16384)",
+     {.min = 1, .noun = "byte count"}},
+    {"output_dir", F(outputDir),
+     "directory for server-side Perfetto files (unset: refused)"},
+};
+
+#undef F
+
 int
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: dsserve [--socket=PATH] [--jobs=N] [--max-queue=N]"
-        "\n               [--max-insts=N] [--max-request-bytes=N]"
-        "\n               [--output-dir=DIR]\n");
+    std::fprintf(stderr, "usage: dsserve [--flag=value ...]\n");
+    kv::printFlags(std::cerr, kFlags);
     return 2;
-}
-
-bool
-flagValue(const std::string &arg, const char *name, std::string &value)
-{
-    std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) != 0)
-        return false;
-    value = arg.substr(prefix.size());
-    return true;
-}
-
-bool
-flagU64(const std::string &arg, const char *name, std::uint64_t &out,
-        bool &bad)
-{
-    std::string value;
-    if (!flagValue(arg, name, value))
-        return false;
-    if (!common::kv::parseU64(value, out))
-        bad = true;
-    return true;
 }
 
 } // namespace
@@ -85,27 +78,13 @@ main(int argc, char **argv)
 {
     serve::ServerConfig cfg;
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string value;
-        std::uint64_t v = 0;
-        bool bad = false;
-        if (flagValue(arg, "--socket", value)) {
-            cfg.socketPath = value;
-        } else if (flagValue(arg, "--output-dir", value)) {
-            cfg.outputDir = value;
-        } else if (flagU64(arg, "--jobs", v, bad)) {
-            cfg.jobs = static_cast<unsigned>(v);
-        } else if (flagU64(arg, "--max-queue", v, bad)) {
-            cfg.maxQueueDepth = static_cast<unsigned>(v);
-        } else if (flagU64(arg, "--max-insts", v, bad)) {
-            cfg.maxInstBudget = v;
-        } else if (flagU64(arg, "--max-request-bytes", v, bad)) {
-            cfg.maxRequestBytes = v;
-        } else {
+        std::string key, value, error;
+        if (!kv::argToKey(argv[i], key, value))
+            return usage();
+        if (!kv::applyKey(kFlags, &cfg, key, value, error)) {
+            std::fprintf(stderr, "dsserve: %s\n", error.c_str());
             return usage();
         }
-        if (bad)
-            return usage();
     }
 
     serve::Server server(cfg);
