@@ -1,9 +1,5 @@
 #include "baseline/single_core.hh"
 
-#include <algorithm>
-
-#include "common/logging.hh"
-
 namespace dscalar {
 namespace baseline {
 
@@ -14,48 +10,7 @@ SingleCoreSystem::SingleCoreSystem(
     : TimingSystem(program, config, std::move(trace)),
       statsTitle_(stats_title), core_(params, stream_, *this)
 {
-}
-
-core::TimingSystem::LoopEnd
-SingleCoreSystem::runLoop()
-{
-    // The core is the whole machine: one coarse "tick" phase.
-    unsigned ph_tick = 0;
-    if (prof_)
-        ph_tick = prof_->addPhase("tick");
-
-    Cycle now = 0;
-    Cycle last_progress = 0;
-    InstSeq last_commit = 0;
-    std::uint64_t loop_ticks = 0;
-    while (!core_.done()) {
-        ++loop_ticks;
-        core_.tick(now);
-        if (core_.committedSeq() > last_commit) {
-            last_commit = core_.committedSeq();
-            last_progress = now;
-            stream_.trim(last_commit);
-        } else if (now - last_progress > config_.watchdogCycles) {
-            panic("single-core system: no commit progress for %llu "
-                  "cycles", (unsigned long long)config_.watchdogCycles);
-        }
-        ++now;
-        if (config_.eventDriven && !core_.done()) {
-            // Skip cycles where the core cannot act; a hung core
-            // still reaches the watchdog cycle and panics there.
-            Cycle deadline =
-                last_progress + config_.watchdogCycles + 1;
-            now = std::max(
-                now,
-                std::min(core_.nextEventCycle(now - 1), deadline));
-        }
-        // Cycles through now-1 are final (skipped ones are no-ops).
-        if (sampler_)
-            sampler_->advance(now - 1);
-    }
-    if (prof_)
-        prof_->lap(ph_tick);
-    return {now, loop_ticks, {}};
+    addCore(core_);
 }
 
 void

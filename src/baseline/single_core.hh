@@ -1,9 +1,11 @@
 /**
  * @file
  * The single-processor comparison systems' common part: the shell
- * plus one out-of-order core, the core's stats and timeline columns,
- * and the one single-core run loop. PerfectSystem and
- * TraditionalSystem differ only in the memory behind the core.
+ * plus one out-of-order core and the core's stats and timeline
+ * columns. The shell's run loop ticks that one core; with no medium
+ * between cores, the system overrides none of the loop's hooks.
+ * PerfectSystem and TraditionalSystem differ only in the memory
+ * behind the core.
  */
 
 #ifndef DSCALAR_BASELINE_SINGLE_CORE_HH
@@ -44,7 +46,6 @@ class SingleCoreSystem : public core::TimingSystem,
     void addSamplerColumns(obs::Sampler &sampler) override;
 
   private:
-    LoopEnd runLoop() final;
     void attachTraceSink(TraceSink *sink) final;
     void buildStats(stats::Snapshot &snap,
                     const core::RunResult &r) const final;

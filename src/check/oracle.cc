@@ -373,6 +373,10 @@ Oracle::checkConfig(const prog::Program &program,
 
     ++stats_.timingRuns;
     RunOutcome live = run(cfg, nullptr);
+    // No sampled config loses a message without recovery, so a
+    // deadlock is a protocol bug, not a hopeless config.
+    if (live.result.deadlock)
+        return fail(live, live.result.error);
     if (!live.result.error.empty()) {
         // A hopeless config the simulator reported as such; there is
         // no finished run to hold to the invariants.

@@ -141,7 +141,7 @@ struct OracleStats
     std::uint64_t timingRuns = 0;
     /** Configs whose run ended in an expected failure (an owner
      *  unreachable after every re-request): not findings, and not
-     *  checked further. */
+     *  checked further. A deadlock is a finding instead. */
     std::uint64_t expectedFailures = 0;
 };
 

@@ -22,8 +22,15 @@
 #include <thread>
 #include <vector>
 
+#include "common/kv.hh"
+
 namespace dscalar {
 namespace common {
+
+/** Worker counts the tools accept for a pool (0 = hardware
+ *  concurrency). A thread per worker: the ceiling keeps a typo from
+ *  asking the host for millions of threads. */
+inline constexpr kv::Range kWorkerCountRange = {0, 256, "worker count"};
 
 /** Fixed pool of worker threads executing queued tasks FIFO. */
 class ThreadPool

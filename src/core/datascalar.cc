@@ -1,7 +1,6 @@
 #include "core/datascalar.hh"
 
 #include <algorithm>
-#include <iostream>
 
 #include "common/logging.hh"
 
@@ -15,13 +14,13 @@ DataScalarSystem::DataScalarSystem(
     : TimingSystem(program, config, std::move(trace)),
       ptable_(std::move(ptable)),
       bus_(config.bus), ring_(config.numNodes, config.ring),
-      faults_(config.fault),
-      recoveryActive_(config.rerequestTimeout > 0)
+      faults_(config.fault)
 {
-    fatal_if(config_.numNodes < 1, "need at least one node");
-    fatal_if(config_.bshrHardCapacity && !recoveryActive_,
-             "bshrHardCapacity drops broadcasts at a full bank and "
-             "needs re-request recovery (set rerequestTimeout > 0)");
+    // driver::runOne refuses an invalid config as an error reply;
+    // one that reaches the constructor is a caller's bug.
+    std::string invalid = validate(config_, true);
+    panic_if(!invalid.empty(), "invalid DataScalar config: %s",
+             invalid.c_str());
     bus_.setFaultModel(&faults_);
     ring_.setFaultModel(&faults_);
     fatal_if(ptable_.numNodes() != config_.numNodes,
@@ -30,6 +29,7 @@ DataScalarSystem::DataScalarSystem(
     for (NodeId id = 0; id < config_.numNodes; ++id) {
         nodes_.push_back(std::make_unique<DataScalarNode>(
             id, config_, ptable_, stream_, *this));
+        addCore(nodes_.back()->core());
     }
     if (config_.memCapacityPages != 0) {
         for (NodeId id = 0; id < config_.numNodes; ++id) {
@@ -76,142 +76,45 @@ DataScalarSystem::localPageCount(NodeId id) const
     return n;
 }
 
-TimingSystem::LoopEnd
-DataScalarSystem::runLoop()
+void
+DataScalarSystem::deliverDue(Cycle now, std::span<Cycle> wake)
 {
-    Cycle now = 0;
-    Cycle last_progress_cycle = 0;
-    InstSeq last_min_commit = 0;
-    std::uint64_t loop_ticks = 0;
-    const bool skipping = config_.eventDriven;
-    // Per-node wake times: the earliest cycle each core's tick could
-    // change any state (nextEventCycle contract). A core whose wake
-    // lies in the future is provably idle, so its ticks are no-ops
-    // and are elided entirely; an arriving delivery re-arms the
-    // recipient for the current cycle. Single-stepping mode pins
-    // every wake at "now" so every core ticks every cycle.
-    std::vector<Cycle> wake(nodes_.size(), 0);
-
-    // Wall-clock phase attribution (setProfiler): the lap pattern
-    // reads the clock once per phase transition, so the four phases
-    // partition the loop's wall time exactly.
-    unsigned ph_delivery = 0, ph_recovery = 0, ph_tick = 0, ph_book = 0;
-    if (prof_) {
-        ph_delivery = prof_->addPhase("delivery");
-        ph_recovery = prof_->addPhase("recovery");
-        ph_tick = prof_->addPhase("tick");
-        ph_book = prof_->addPhase("bookkeeping");
+    while (!deliveries_.empty() && deliveries_.top().at <= now) {
+        Delivery d = deliveries_.top();
+        deliveries_.pop();
+        auto deliver = [&](DataScalarNode &node) {
+            if (d.kind == interconnect::MsgKind::Rerequest)
+                node.deliverRerequest(d.line, now);
+            else
+                node.deliverBroadcast(d.line, now);
+            wake[node.id()] = now;
+        };
+        if (d.targeted) {
+            deliver(*nodes_[d.target]);
+        } else {
+            for (auto &node : nodes_)
+                if (node->id() != d.src)
+                    deliver(*node);
+        }
     }
+}
 
-    while (true) {
-        ++loop_ticks;
-        while (!deliveries_.empty() && deliveries_.top().at <= now) {
-            Delivery d = deliveries_.top();
-            deliveries_.pop();
-            bool rereq = d.kind == interconnect::MsgKind::Rerequest;
-            if (d.targeted) {
-                if (rereq)
-                    nodes_[d.target]->deliverRerequest(d.line, now);
-                else
-                    nodes_[d.target]->deliverBroadcast(d.line, now);
-                wake[d.target] = now;
-            } else {
-                for (auto &node : nodes_) {
-                    if (node->id() != d.src) {
-                        if (rereq)
-                            node->deliverRerequest(d.line, now);
-                        else
-                            node->deliverBroadcast(d.line, now);
-                        wake[node->id()] = now;
-                    }
-                }
-            }
-        }
+const std::string *
+DataScalarSystem::pollRecovery(Cycle now)
+{
+    for (auto &node : nodes_)
+        if (!node->checkRecovery(now))
+            return &node->failure();
+    return nullptr;
+}
 
-        if (prof_)
-            prof_->lap(ph_delivery);
-
-        if (recoveryActive_) {
-            for (auto &node : nodes_) {
-                if (!node->checkRecovery(now)) {
-                    // An unreachable owner: the run cannot finish,
-                    // and says so as a value.
-                    if (prof_)
-                        prof_->lap(ph_recovery);
-                    return {now + 1, loop_ticks, node->failure()};
-                }
-            }
-        }
-        if (prof_)
-            prof_->lap(ph_recovery);
-
-        bool all_done = true;
-        InstSeq min_commit = ~static_cast<InstSeq>(0);
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            ooo::OoOCore &core = nodes_[i]->core();
-            if (!skipping || wake[i] <= now) {
-                core.tick(now);
-                wake[i] = skipping ? core.nextEventCycle(now)
-                                   : now + 1;
-            }
-            all_done = all_done && core.done();
-            min_commit = std::min(min_commit, core.committedSeq());
-        }
-        if (prof_)
-            prof_->lap(ph_tick);
-
-        if (all_done && deliveries_.empty()) {
-            // Final cycle's state is settled; flush pending samples.
-            if (sampler_)
-                sampler_->advance(now);
-            if (prof_)
-                prof_->lap(ph_book);
-            break;
-        }
-
-        stream_.trim(min_commit);
-
-        if (min_commit > last_min_commit) {
-            last_min_commit = min_commit;
-            last_progress_cycle = now;
-        } else if (now - last_progress_cycle > config_.watchdogCycles) {
-            watchdogFire(now, min_commit, all_done);
-        }
-
-        Cycle next = now + 1;
-        if (skipping) {
-            // Fast-forward to the earliest cycle anything can happen:
-            // a node making internal progress or a broadcast landing.
-            // Intermediate ticks are no-ops, so skipping them changes
-            // no simulated cycle count or statistic.
-            Cycle soonest = nextDeliveryCycle();
-            for (Cycle w : wake)
-                soonest = std::min(soonest, w);
-            if (recoveryActive_) {
-                // Re-requests must fire at the same cycle in both
-                // run-loop modes.
-                for (const auto &node : nodes_)
-                    soonest =
-                        std::min(soonest, node->nextRecoveryCycle());
-            }
-            // Never skip past the cycle where the watchdog would
-            // fire: a deadlocked run must panic at the same cycle
-            // the single-stepping loop panics at.
-            Cycle deadline =
-                last_progress_cycle + config_.watchdogCycles + 1;
-            next = std::max(now + 1, std::min(soonest, deadline));
-        }
-        // Cycles [now, next-1] are final (skipped cycles are no-ops),
-        // so any nominal sample cycle in that window observes exactly
-        // the current state — identical in both run-loop modes.
-        if (sampler_)
-            sampler_->advance(next - 1);
-        now = next;
-        if (prof_)
-            prof_->lap(ph_book);
-    }
-
-    return {now + 1, loop_ticks, {}};
+Cycle
+DataScalarSystem::nextExternalEvent() const
+{
+    Cycle soonest = deliveries_.empty() ? cycleMax : deliveries_.top().at;
+    for (const auto &node : nodes_)
+        soonest = std::min(soonest, node->nextRecoveryCycle());
+    return soonest;
 }
 
 void
@@ -268,23 +171,6 @@ DataScalarSystem::addSamplerColumns(obs::Sampler &sampler)
         }
         return static_cast<std::uint64_t>(lead);
     });
-}
-
-void
-DataScalarSystem::watchdogFire(Cycle now, InstSeq min_commit,
-                               bool all_done) const
-{
-    watchdogDump(std::cerr, now);
-    panic("no commit progress for %llu cycles "
-          "(min committed %llu @ cycle %llu; %zu deliveries "
-          "pending, next at %llu; all_done=%d) -- "
-          "protocol deadlock?",
-          (unsigned long long)config_.watchdogCycles,
-          (unsigned long long)min_commit, (unsigned long long)now,
-          deliveries_.size(),
-          deliveries_.empty() ? 0ULL
-                              : (unsigned long long)deliveries_.top().at,
-          all_done ? 1 : 0);
 }
 
 void

@@ -28,8 +28,10 @@ namespace core {
 /**
  * A multi-node DataScalar timing simulation.
  *
- * One run loop ticks the nodes in node order each simulated cycle and
- * skips cycles in which no core, delivery or re-request can act.
+ * The shell's run loop (TimingSystem::run) ticks the node cores in
+ * node order each simulated cycle; this class drives the bus or ring
+ * between them through the loop's hooks (deliveries, re-request
+ * recovery).
  * Parallelism lives across simulations (driver::runMany, `--jobs`),
  * not inside one: a window the nodes could tick apart is no wider
  * than the minimum cross-node latency, too short to pay for a thread
@@ -37,8 +39,7 @@ namespace core {
  *
  * Trace sinks receive per-node, core disparity, and fault events.
  * Sampler columns: per-node commit rate / BSHR occupancy / DCUB
- * depth, bus occupancy, and the leading node. Profiler phases:
- * delivery / recovery / tick / bookkeeping.
+ * depth, bus occupancy, and the leading node.
  */
 class DataScalarSystem : public TimingSystem, public BroadcastPort
 {
@@ -55,7 +56,6 @@ class DataScalarSystem : public TimingSystem, public BroadcastPort
                      std::shared_ptr<const func::InstTrace> trace =
                          nullptr);
 
-    unsigned numNodes() const { return config_.numNodes; }
     const DataScalarNode &node(NodeId id) const { return *nodes_.at(id); }
     const interconnect::Bus &bus() const { return bus_; }
     const interconnect::Ring &ring() const { return ring_; }
@@ -79,18 +79,9 @@ class DataScalarSystem : public TimingSystem, public BroadcastPort
      */
     bool protocolDrained() const;
 
-    /** Cycle the next in-flight broadcast lands at a receiver, or
-     *  cycleMax when none is in flight. */
-    Cycle
-    nextDeliveryCycle() const
-    {
-        return deliveries_.empty() ? cycleMax : deliveries_.top().at;
-    }
-
     /** Structured deadlock diagnostics: per-node pipeline heads,
-     *  BSHR contents with ages, and in-flight messages. Written to
-     *  stderr automatically when the watchdog fires. */
-    void watchdogDump(std::ostream &os, Cycle now) const;
+     *  BSHR contents with ages, and in-flight messages. */
+    void watchdogDump(std::ostream &os, Cycle now) const override;
 
     // BroadcastPort ---------------------------------------------------
     void broadcast(NodeId src, Addr line, interconnect::MsgKind kind,
@@ -116,21 +107,19 @@ class DataScalarSystem : public TimingSystem, public BroadcastPort
         }
     };
 
-    LoopEnd runLoop() override;
+    void deliverDue(Cycle now, std::span<Cycle> wake) override;
+    const std::string *pollRecovery(Cycle now) override;
+    Cycle nextExternalEvent() const override;
+    bool quiescent() const override { return deliveries_.empty(); }
     void attachTraceSink(TraceSink *sink) override;
     void addSamplerColumns(obs::Sampler &sampler) override;
     void buildStats(stats::Snapshot &snap,
                     const RunResult &r) const override;
-    /** Write watchdogDump to stderr and panic: no commit progress
-     *  for watchdogCycles up to @p now. */
-    [[noreturn]] void watchdogFire(Cycle now, InstSeq min_commit,
-                                   bool all_done) const;
 
     mem::PageTable ptable_;
     interconnect::Bus bus_;
     interconnect::Ring ring_;
     interconnect::FaultModel faults_;
-    bool recoveryActive_ = false;
     std::vector<std::unique_ptr<DataScalarNode>> nodes_;
     std::priority_queue<Delivery, std::vector<Delivery>,
                         std::greater<Delivery>>

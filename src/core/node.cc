@@ -325,10 +325,18 @@ DataScalarNode::watchdogDump(std::ostream &os, Cycle now) const
        << core_.coreStats().committed << ", window "
        << core_.windowSize() << " uops, done "
        << (core_.done() ? 1 : 0) << '\n';
+    // The first lines of each list: a deadlocked run's error carries
+    // the dump, and every node's head must fit in it.
+    constexpr std::size_t kListed = 4;
+    auto more = [&os](std::size_t total) {
+        if (total > kListed)
+            os << "    ... " << total - kListed << " more\n";
+    };
     auto entries = bshr_.entries();
     os << "  bshr: " << bshr_.occupancy() << " occupied, "
        << entries.size() << " lines\n";
-    for (const auto &e : entries) {
+    for (std::size_t i = 0; i < std::min(entries.size(), kListed); ++i) {
+        const auto &e = entries[i];
         os << "    line 0x" << std::hex << e.line << std::dec << ": "
            << e.waiters << " waiters, " << e.buffered << " buffered, "
            << e.pendingSquashes << " pending squashes";
@@ -338,7 +346,11 @@ DataScalarNode::watchdogDump(std::ostream &os, Cycle now) const
         }
         os << '\n';
     }
+    more(entries.size());
+    std::size_t listed = 0;
     for (const auto &[line, st] : rerequests_) {
+        if (listed++ == kListed)
+            break;
         os << "    rerequest 0x" << std::hex << line << std::dec
            << ": " << st.attempts << " attempts, next at cycle ";
         if (st.nextAt == cycleMax)
@@ -347,6 +359,7 @@ DataScalarNode::watchdogDump(std::ostream &os, Cycle now) const
             os << st.nextAt;
         os << '\n';
     }
+    more(rerequests_.size());
 }
 
 } // namespace core

@@ -76,7 +76,6 @@ class DataScalarNode : public ooo::MemBackend
     const ooo::OoOCore &core() const { return core_; }
     const Bshr &bshr() const { return bshr_; }
     const NodeStats &nodeStats() const { return stats_; }
-    const mem::MainMemory &localMemory() const { return localMem_; }
 
     /** A broadcast arrived from the bus at cycle @p now. */
     void deliverBroadcast(Addr line, Cycle now);
@@ -115,8 +114,8 @@ class DataScalarNode : public ooo::MemBackend
      *  system's text dump and JSON export render from it. */
     void buildStats(stats::Snapshot &snap) const;
 
-    /** Structured deadlock diagnostics: pipeline head, BSHR contents
-     *  with ages, armed re-requests. */
+    /** Structured deadlock diagnostics: pipeline head, the first
+     *  BSHR entries with ages and the first armed re-requests. */
     void watchdogDump(std::ostream &os, Cycle now) const;
 
     // MemBackend interface --------------------------------------------

@@ -84,8 +84,8 @@ struct SimConfig
      * is a configuration error.
      */
     std::size_t memCapacityPages = 0;
-    /** Abort if no node commits for this many cycles (a protocol
-     *  deadlock would otherwise hang silently). */
+    /** End the run as a deadlock if no core commits for this many
+     *  cycles (a protocol deadlock would otherwise hang silently). */
     Cycle watchdogCycles = 5'000'000;
     /**
      * Event-driven run loops: fast-forward the clock to the next
@@ -125,10 +125,13 @@ struct RunResult
      *  renders as text via Snapshot::dump or JSON via
      *  stats::JsonWriter. */
     std::shared_ptr<const stats::Snapshot> stats;
-    /** Non-empty when the run ended early in an expected failure
-     *  (an unreachable owner after rerequestMaxRetries re-requests);
-     *  the numbers above then describe an unfinished run. */
+    /** Non-empty when the run ended early (an unreachable owner
+     *  after rerequestMaxRetries re-requests, or a deadlock), with a
+     *  watchdogDump excerpt; the numbers above then describe an
+     *  unfinished run. */
     std::string error;
+    /** The error is a deadlock, which check::Oracle reports. */
+    bool deadlock = false;
 };
 
 } // namespace core

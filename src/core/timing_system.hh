@@ -7,10 +7,13 @@
  * system consumes the same dynamic stream (Section 4.2). A
  * TimingSystem is that common part: the stream and the program
  * output it carries, the trace-sink fan-out, the sampler, the
- * wall-clock profiler, the run-once guard, and assembly of the
- * RunResult and its stat snapshot. A concrete system adds only its
- * memory behind the core(s), its run loop, its sampler columns and
- * its stats groups.
+ * wall-clock profiler, the run-once guard, assembly of the RunResult
+ * and its stat snapshot, and the one run loop. The loop ticks the
+ * cores a system registers, cycle n for every core before cycle n+1
+ * for any (Section 4.2), so a single-core system is the N = 1 case
+ * with no medium between cores. A concrete system adds only its
+ * memory behind the core(s), its sampler columns, its stats groups
+ * and, when it has a medium, the run-loop hooks that drive it.
  */
 
 #ifndef DSCALAR_CORE_TIMING_SYSTEM_HH
@@ -19,13 +22,16 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/trace.hh"
 #include "core/sim_config.hh"
 #include "func/inst_trace.hh"
 #include "obs/sampler.hh"
 #include "obs/span.hh"
+#include "ooo/core.hh"
 #include "ooo/oracle_stream.hh"
 #include "prog/program.hh"
 #include "stats/snapshot.hh"
@@ -42,8 +48,8 @@ class TimingSystem
     TimingSystem &operator=(const TimingSystem &) = delete;
 
     /** Run to completion (or the configured instruction budget),
-     *  or until the run proves hopeless (RunResult::error). A system
-     *  runs once. */
+     *  or until the run proves hopeless: an unreachable owner or a
+     *  deadlock (RunResult::error). A system runs once. */
     RunResult run();
 
     /** Program output (Print* syscalls) of the executed prefix. */
@@ -69,7 +75,8 @@ class TimingSystem
     /**
      * Attach a wall-clock phase profiler; nullptr (the default)
      * costs nothing on the run loop. The run loop attributes its
-     * wall time to named phases via @p prof's lap() accumulators,
+     * wall time to four phases (delivery, recovery, tick,
+     * bookkeeping) via @p prof's lap() accumulators,
      * and snapshotStats() appends them as the `profile` group
      * (`phase_<name>_us` plus an independently measured
      * `total_us`). Wall-clock only: simulated results are
@@ -85,6 +92,10 @@ class TimingSystem
      *  from this. */
     std::shared_ptr<const stats::Snapshot> snapshotStats() const;
 
+    /** Deadlock diagnostics at cycle @p now; a run that ends in an
+     *  error carries their first lines. */
+    virtual void watchdogDump(std::ostream &, Cycle) const {}
+
   protected:
     /** A null @p trace streams @p program, captured a chunk at a
      *  time; a non-null one replays it instead (byte-identical
@@ -92,17 +103,27 @@ class TimingSystem
     TimingSystem(const prog::Program &program, const SimConfig &config,
                  std::shared_ptr<const func::InstTrace> trace);
 
-    /** What a run loop hands back to run(). */
-    struct LoopEnd
-    {
-        Cycle cycles = 0;           ///< RunResult::cycles
-        std::uint64_t loopTicks = 0; ///< RunResult::loopTicks
-        std::string error;          ///< RunResult::error
-    };
+    /** Register @p core for run() to tick, in registration order;
+     *  its index is its slot in deliverDue's wake span. */
+    void addCore(ooo::OoOCore &core) { cores_.push_back(&core); }
 
-    /** The system's run loop. Profiler phases registered inside it
-     *  are timed from loop entry (run() has called lapStart()). */
-    virtual LoopEnd runLoop() = 0;
+    // Run-loop hooks for a medium between the cores; the defaults
+    // describe a system without one.
+
+    /** Apply every delivery due at @p now, setting wake[i] = now for
+     *  each core i that received one. */
+    virtual void deliverDue(Cycle, std::span<Cycle>) {}
+
+    /** @return the failure that ends the run (an owner unreachable
+     *  by re-request recovery at @p now), or nullptr. */
+    virtual const std::string *pollRecovery(Cycle) { return nullptr; }
+
+    /** Earliest cycle a delivery lands or a re-request fires, or
+     *  cycleMax; the two hooks above run only from that cycle on. */
+    virtual Cycle nextExternalEvent() const { return cycleMax; }
+
+    /** No delivery in flight. */
+    virtual bool quiescent() const { return true; }
 
     /** Point every event source at @p sink (nullptr = tracing off). */
     virtual void attachTraceSink(TraceSink *sink) = 0;
@@ -136,6 +157,13 @@ class TimingSystem
     obs::SpanRecorder *prof_ = nullptr;
 
   private:
+    /** The run loop: sets @p r's cycles, loopTicks and any error. */
+    void loop(RunResult &r);
+
+    /** @p text, then the first lines of watchdogDump. */
+    std::string withDumpExcerpt(std::string text, Cycle now) const;
+
+    std::vector<ooo::OoOCore *> cores_;
     /** Owned fan-out for attached trace sinks (empty = tracing off). */
     TeeTraceSink tee_;
     bool ran_ = false;

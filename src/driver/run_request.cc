@@ -222,8 +222,9 @@ namespace {
  * Observability wiring for any timing system: optional
  * stderr tracing and Perfetto export (fanned out via the system's
  * TeeTraceSink; path "-" streams to stdout), an optional flight
- * recorder dumped by any panic (e.g. the run-loop watchdog), an
- * optional sampled timeline, optional request spans / the wall-clock
+ * recorder dumped to stderr by a run that ends in an error (a
+ * deadlock, an unreachable owner) or by any panic, an optional
+ * sampled timeline, optional request spans / the wall-clock
  * phase profiler (@p spans), and the run itself. @return false with
  * resp.error set when an attachment cannot be created or the run
  * ended in an expected failure.
@@ -286,6 +287,8 @@ runAttached(core::TimingSystem &sys, const RunRequest &req,
         resp.timelineJson = os.str();
     }
     resp.error = resp.result.error;
+    if (req.flightRecorder && !resp.ok())
+        flight.dump(std::cerr);
     return resp.ok();
 }
 

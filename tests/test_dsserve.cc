@@ -222,11 +222,12 @@ TEST(DsServe, FaultDelayPastWatchdogRejectedServerSurvives)
     server.stop();
 }
 
-/** Send @p block to a fresh daemon: the reply is an unreachable-owner
- *  error, and the daemon still answers a ping afterwards. */
+/** Send @p block to a fresh daemon: the reply is an error containing
+ *  @p expected, and the daemon still answers a ping afterwards. */
 void
-expectUnreachableOwnerServerSurvives(const std::string &socket,
-                                     const std::string &block)
+expectRunErrorServerSurvives(const std::string &socket,
+                             const std::string &block,
+                             const std::string &expected)
 {
     serve::Server server(testConfig(socket));
     std::string error;
@@ -238,7 +239,7 @@ expectUnreachableOwnerServerSurvives(const std::string &socket,
     ASSERT_TRUE(driver::parseRunRequest(in, req, error)) << error;
     serve::Reply reply = client.run(req);
     EXPECT_FALSE(reply.ok);
-    EXPECT_NE(reply.error.find("owner unreachable"), std::string::npos)
+    EXPECT_NE(reply.error.find(expected), std::string::npos)
         << reply.error;
 
     EXPECT_TRUE(client.ping().ok);
@@ -248,19 +249,40 @@ expectUnreachableOwnerServerSurvives(const std::string &socket,
 
 TEST(DsServe, EveryTransmissionLostErrorsServerSurvives)
 {
-    expectUnreachableOwnerServerSurvives(
-        "t_dss_drop.sock", "workload = go_s\nsystem = datascalar\n"
-                           "nodes = 4\nfault_drop = 1\n"
-                           "max_insts = 2000\n\n");
+    expectRunErrorServerSurvives(
+        "t_dss_drop.sock",
+        "workload = go_s\nsystem = datascalar\nnodes = 4\n"
+        "fault_drop = 1\nmax_insts = 2000\n\n",
+        "owner unreachable");
 }
 
 TEST(DsServe, ShortTimeoutUnderHardBshrErrorsServerSurvives)
 {
-    expectUnreachableOwnerServerSurvives(
-        "t_dss_hard.sock", "workload = go_s\nsystem = datascalar\n"
-                           "nodes = 4\nbshr_hard = 1\n"
-                           "rerequest_timeout = 100\n"
-                           "max_insts = 50000\n\n");
+    expectRunErrorServerSurvives(
+        "t_dss_hard.sock",
+        "workload = go_s\nsystem = datascalar\nnodes = 4\n"
+        "bshr_hard = 1\nrerequest_timeout = 100\n"
+        "max_insts = 50000\n\n",
+        "owner unreachable");
+}
+
+TEST(DsServe, DeadlockErrorsServerSurvives)
+{
+    // Lost broadcasts with recovery explicitly off strand a waiter
+    // for good: the watchdog ends the run, not the daemon, and the
+    // reply carries the error's diagnostics excerpt.
+    expectRunErrorServerSurvives(
+        "t_dss_dead2.sock",
+        "workload = go_s\nsystem = datascalar\nnodes = 2\n"
+        "fault_drop = 1\nrerequest_timeout = 0\n"
+        "max_insts = 2000\n\n",
+        "-- deadlock\n==== watchdog diagnostics @ cycle 5000046");
+    expectRunErrorServerSurvives(
+        "t_dss_dead4.sock",
+        "workload = go_s\nsystem = datascalar\nnodes = 4\n"
+        "fault_drop = 0.05\nrerequest_timeout = 0\n"
+        "max_insts = 2000\n\n",
+        "watchdog: no commit progress");
 }
 
 TEST(DsServe, OversizedRequestDropsConnection)

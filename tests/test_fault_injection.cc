@@ -1,17 +1,19 @@
 /** @file Tests for interconnect fault injection and re-request
  *  recovery: seeded determinism, completion under loss, hard BSHR
- *  capacity, the watchdog diagnostic dump and the fault-delay
- *  ceiling that keeps jitter inside its window. That faulty and
- *  hard-BSHR runs repeat byte for byte, stepped or skipping, is
- *  checked by tests/test_identity.cc. */
+ *  capacity, the watchdog's deadlock error and its diagnostic dump,
+ *  and the fault-delay ceiling that keeps jitter inside its window.
+ *  That faulty and hard-BSHR runs repeat byte for byte, stepped or
+ *  skipping, is checked by tests/test_identity.cc. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
 #include "core/datascalar.hh"
 #include "driver/driver.hh"
+#include "driver/run_request.hh"
 #include "interconnect/fault_model.hh"
 #include "prog/assembler.hh"
 
@@ -324,24 +326,92 @@ TEST(Watchdog, DumpIsDiagnostic)
     EXPECT_NE(dump.find("in-flight messages:"), std::string::npos);
 }
 
-TEST(Watchdog, DeadlockPanicsWithDiagnostics)
+/** Total loss with recovery disabled, on @p nodes nodes: an
+ *  unrecoverable protocol deadlock. */
+core::RunResult
+runDeadlocked(bool skipping, unsigned nodes = 2)
 {
-    // Total loss with recovery disabled is an unrecoverable protocol
-    // deadlock: the watchdog must dump diagnostics and panic rather
-    // than spin forever.
     prog::Program p = streamProgram(4);
     core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
+    cfg.numNodes = nodes;
     cfg.fault.dropProb = 1.0;
     cfg.watchdogCycles = 50'000;
+    cfg.eventDriven = skipping;
+    core::DataScalarSystem sys(p, cfg,
+                               driver::figure7PageTable(p, nodes));
+    return sys.run();
+}
 
-    EXPECT_DEATH(
-        {
-            core::DataScalarSystem sys(
-                p, cfg, driver::figure7PageTable(p, 2));
-            sys.run();
-        },
-        "protocol deadlock");
+TEST(Watchdog, DeadlockIsAnErrorWithDiagnostics)
+{
+    // The watchdog ends the run as a value carrying the system's
+    // diagnostics, rather than letting it spin forever.
+    core::RunResult r = runDeadlocked(true);
+    EXPECT_TRUE(r.deadlock);
+    std::string cycle = std::to_string(r.cycles - 1);
+    EXPECT_EQ(r.error.rfind("watchdog: no commit progress for 50000 "
+                            "cycles (min committed ",
+                            0),
+              0u)
+        << r.error;
+    EXPECT_NE(r.error.find("@ cycle " + cycle + ") -- deadlock\n"),
+              std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("==== watchdog diagnostics @ cycle " + cycle),
+              std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("node 1:"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("oldest waiter age"), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("in-flight messages:"), std::string::npos)
+        << r.error;
+}
+
+TEST(Watchdog, DeadlockEndsAtTheSameCycleSkippingOrNot)
+{
+    core::RunResult skip = runDeadlocked(true);
+    core::RunResult step = runDeadlocked(false);
+    EXPECT_TRUE(skip.deadlock);
+    EXPECT_TRUE(step.deadlock);
+    EXPECT_EQ(skip.cycles, step.cycles);
+    EXPECT_EQ(skip.error, step.error);
+    EXPECT_EQ(step.loopTicks, step.cycles);
+    EXPECT_LT(skip.loopTicks, step.loopTicks);
+}
+
+TEST(Watchdog, DumpExcerptIsBounded)
+{
+    // Sixteen nodes' heads and BSHRs overrun the excerpt: it keeps
+    // its first lines and counts the rest.
+    core::RunResult r = runDeadlocked(true, 16);
+    ASSERT_TRUE(r.deadlock);
+    EXPECT_NE(r.error.find("node 0:"), std::string::npos) << r.error;
+    EXPECT_EQ(r.error.find("in-flight messages:"), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find(" more lines"), std::string::npos) << r.error;
+    std::size_t lines = std::count(r.error.begin(), r.error.end(), '\n');
+    EXPECT_LE(lines, 42u) << r.error;
+}
+
+TEST(Watchdog, SingleCoreDeadlockIsAValue)
+{
+    // A 3-cycle window is shorter than the first instruction fetch,
+    // so the one core "deadlocks" before its first commit.
+    for (driver::SystemKind system :
+         {driver::SystemKind::Perfect, driver::SystemKind::Traditional}) {
+        driver::RunRequest req;
+        req.workload = "go_s";
+        req.system = system;
+        req.config.maxInsts = 2'000;
+        req.config.watchdogCycles = 3;
+        driver::RunResponse resp = driver::runOne(req);
+        EXPECT_FALSE(resp.ok());
+        EXPECT_TRUE(resp.result.deadlock);
+        EXPECT_EQ(resp.error, "watchdog: no commit progress for 3 "
+                              "cycles (min committed 0 @ cycle 4) -- "
+                              "deadlock");
+        EXPECT_EQ(resp.result.cycles, 5u);
+    }
 }
 
 TEST(Watchdog, FaultDelayCeilingCoversEveryRingHop)
@@ -383,7 +453,7 @@ TEST(Watchdog, HardCapacityWithoutRecoveryIsRejected)
 
     EXPECT_DEATH(core::DataScalarSystem(
                      p, cfg, driver::figure7PageTable(p, 2)),
-                 "rerequestTimeout");
+                 "bshr_hard needs re-request recovery");
 }
 
 } // namespace

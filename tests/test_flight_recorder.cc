@@ -1,13 +1,16 @@
-/** @file Tests for obs::FlightRecorder and its panic hook. */
+/** @file Tests for obs::FlightRecorder, its panic hook and its dump
+ *  after a run that ends in an error. */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/logging.hh"
 #include "core/datascalar.hh"
 #include "driver/driver.hh"
+#include "driver/run_request.hh"
 #include "obs/flight_recorder.hh"
 #include "prog/assembler.hh"
 
@@ -90,41 +93,43 @@ TEST(FlightRecorderDeath, PanicDumpsRecentEvents)
         "forced failure.*flight recorder.*node 1 @42: broadcast");
 }
 
-TEST(FlightRecorderDeath, WatchdogPanicCarriesFlightLog)
+TEST(FlightRecorderTest, WatchdogErrorCarriesFlightLog)
 {
     // Losing every transmission with recovery off deadlocks the
     // protocol (waiters starve, commits stop); the run-loop watchdog
-    // panics, and the installed recorder must dump the dropped
-    // broadcasts first.
-    EXPECT_DEATH(
-        {
-            prog::Program p;
-            Addr g = p.allocGlobal(4 * prog::pageSize);
-            prog::Assembler a(p);
-            a.la(s1, g);
-            a.li(s0, 4 * static_cast<std::int32_t>(prog::pageSize) /
-                         64);
-            a.label("loop");
-            a.ld(t0, s1, 0);
-            a.addi(s1, s1, 64);
-            a.addi(s0, s0, -1);
-            a.bne(s0, zero, "loop");
-            a.halt();
-            a.finalize();
+    // ends the run as an error, and the request's armed recorder
+    // dumps the dropped broadcasts to stderr.
+    auto p = std::make_shared<prog::Program>();
+    Addr g = p->allocGlobal(4 * prog::pageSize);
+    prog::Assembler a(*p);
+    a.la(s1, g);
+    a.li(s0, 4 * static_cast<std::int32_t>(prog::pageSize) / 64);
+    a.label("loop");
+    a.ld(t0, s1, 0);
+    a.addi(s1, s1, 64);
+    a.addi(s0, s0, -1);
+    a.bne(s0, zero, "loop");
+    a.halt();
+    a.finalize();
 
-            core::SimConfig cfg = driver::paperConfig();
-            cfg.numNodes = 2;
-            cfg.watchdogCycles = 2'000;
-            cfg.fault.dropProb = 1.0;
-            cfg.fault.seed = 1;
-            core::DataScalarSystem sys(
-                p, cfg, driver::figure7PageTable(p, 2));
-            obs::FlightRecorder rec;
-            sys.addTraceSink(&rec);
-            rec.installPanicDump();
-            sys.run();
-        },
-        "no commit progress.*flight recorder.*fault-drop");
+    driver::RunRequest req;
+    req.program = p;
+    req.system = driver::SystemKind::DataScalar;
+    req.config.numNodes = 2;
+    req.config.watchdogCycles = 2'000;
+    req.config.fault.dropProb = 1.0;
+    req.config.fault.seed = 1;
+    req.flightRecorder = true;
+    testing::internal::CaptureStderr();
+    driver::RunResponse resp = driver::runOne(req);
+    std::string log = testing::internal::GetCapturedStderr();
+
+    EXPECT_TRUE(resp.result.deadlock);
+    EXPECT_NE(resp.error.find("no commit progress"), std::string::npos)
+        << resp.error;
+    std::size_t header = log.find("flight recorder");
+    ASSERT_NE(header, std::string::npos) << log;
+    EXPECT_NE(log.find("fault-drop", header), std::string::npos) << log;
 }
 
 TEST(FlightRecorderTest, HookRemovedOnDestruction)

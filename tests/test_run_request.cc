@@ -304,7 +304,8 @@ parsedRequest(const std::string &block)
 }
 
 /** A run whose owner stays unreachable through every re-request ends
- *  as an error naming the node, the line and the attempt count. */
+ *  as an error naming the node, the line and the attempt count, with
+ *  the watchdog diagnostics excerpt; it is no deadlock. */
 void
 expectUnreachableOwner(const std::string &block)
 {
@@ -317,6 +318,10 @@ expectUnreachableOwner(const std::string &block)
         << resp.error;
     EXPECT_NE(resp.error.find("after 16 re-requests"), std::string::npos)
         << resp.error;
+    EXPECT_NE(resp.error.find("\n==== watchdog diagnostics @ cycle "),
+              std::string::npos)
+        << resp.error;
+    EXPECT_FALSE(resp.result.deadlock);
 }
 
 TEST(RunOne, EveryTransmissionLostIsAnError)

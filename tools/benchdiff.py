@@ -29,12 +29,18 @@ import json
 import sys
 
 
+def input_error(message):
+    """Exit 2, the status for a usage or input error."""
+    print(f"benchdiff: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load_json(path):
     try:
         with open(path) as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"benchdiff: cannot read {path}: {e}")
+        input_error(f"cannot read {path}: {e}")
 
 
 # Stats groups whose values are wall-clock measurements rather than
@@ -75,7 +81,7 @@ def diff_stats(base_data, cur_data, tolerance, wall_tolerance):
     base = flatten_stats(base_data)
     cur = flatten_stats(cur_data)
     if not base or not cur:
-        sys.exit("benchdiff: no stats in one of the inputs")
+        input_error("no stats in one of the inputs")
 
     diffs = []
     print(f"{'stat':<52} {'baseline':>14} {'current':>14} "

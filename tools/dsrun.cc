@@ -16,8 +16,9 @@
  *   --ring / --no-skip / --bshr-hard / --profile
  *                      shorthands for --interconnect=ring,
  *                      --event-driven=0, --bshr-hard=1 and --profile=1
- *   --jobs=N           sweep worker threads (default 1; 0 = all cores);
- *                      each simulation runs on one thread
+ *   --jobs=N           sweep worker threads, 0..256 (default 1;
+ *                      0 = all cores); each simulation runs on one
+ *                      thread
  *   --stats            print the full statistics dump
  *   --stats-json=FILE  write run metadata + every stat as JSON
  *                      (schema: docs/OBSERVABILITY.md). FILE "-"
@@ -43,6 +44,7 @@
 #include <string>
 
 #include "common/kv.hh"
+#include "common/thread_pool.hh"
 #include "driver/driver.hh"
 #include "func/func_sim.hh"
 #include "obs/span.hh"
@@ -52,6 +54,13 @@
 using namespace dscalar;
 
 namespace {
+
+/** --jobs: the sweep's worker count, in the range dsserve's --jobs
+ *  takes. */
+constexpr common::kv::Key kJobsFlag[] = {
+    {"jobs",
+     [](void *o) { return common::kv::Ref(*static_cast<unsigned *>(o)); },
+     "sweep worker threads", common::kWorkerCountRange}};
 
 int
 usage()
@@ -144,10 +153,12 @@ main(int argc, char **argv)
                 continue;
             }
             if (key == "jobs") {
-                std::uint64_t v = 0;
-                if (!common::kv::parseU64(value, v))
+                std::string error;
+                if (!common::kv::applyKey(kJobsFlag, &jobs, key, value,
+                                          error)) {
+                    std::fprintf(stderr, "dsrun: %s\n", error.c_str());
                     return usage();
-                jobs = static_cast<unsigned>(v);
+                }
                 continue;
             }
             if (key == "stats_json") {

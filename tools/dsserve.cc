@@ -29,6 +29,7 @@
 #include <string>
 
 #include "common/kv.hh"
+#include "common/thread_pool.hh"
 #include "serve/server.hh"
 
 using namespace dscalar;
@@ -44,10 +45,8 @@ constexpr kv::Key kFlags[] = {
     {"socket", F(socketPath),
      "socket path (default dsserve.sock; sun_path holds ~107 bytes)",
      {.min = 1, .noun = "socket path"}},
-    // A thread per worker: the ceiling keeps a typo from asking the
-    // host for millions of threads.
     {"jobs", F(jobs), "simulation worker threads (default 0 = all cores)",
-     {0, 256, "worker count"}},
+     common::kWorkerCountRange},
     {"max_queue", F(maxQueueDepth),
      "admission: max runs queued or running (default 256)",
      {.min = 1, .noun = "queue depth"}},
